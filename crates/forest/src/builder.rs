@@ -1,5 +1,14 @@
 //! Tree construction: random upper layers + greedy Gini nodes with cached
 //! candidate-threshold statistics.
+//!
+//! One recursive builder serves fitting, delete-time retraining and
+//! insert-time rebuilding. It works over a mutable id slice that it
+//! partitions stably in place, and keeps every per-node buffer (the
+//! attribute shuffle, the label histogram, the sampled cuts, the candidate
+//! list and the partition's right side) in a [`BuildScratch`] that the
+//! caller creates once and threads down the recursion. A node therefore
+//! allocates only what it keeps: its leaf id list or its candidate pool,
+//! each at exact capacity.
 
 use fume_tabular::cast::{code_u16, row_u32};
 use fume_tabular::rng::{Rng, SliceRandom, StdRng};
@@ -14,76 +23,182 @@ use crate::node::{Candidate, Internal, Leaf, Node};
 /// retrain on floating-point noise.
 pub(crate) const GAIN_EPS: f64 = 1e-12;
 
-/// Per-attribute label histogram over a set of instance ids.
-pub(crate) struct Histogram {
-    /// `counts[c]` = instances with code `c`.
-    pub counts: Vec<u32>,
-    /// `pos[c]` = positive instances with code `c`.
-    pub pos: Vec<u32>,
+/// Reusable cumulative label histogram of one attribute over a set of
+/// instance ids, plus the cut thresholds sampled from it.
+pub(crate) struct CutHistogram {
+    /// After [`Self::fill`]: `counts[c]` = instances with code `<= c`.
+    counts: Vec<u32>,
+    /// After [`Self::fill`]: `pos[c]` = positive instances with code `<= c`.
+    pos: Vec<u32>,
+    /// Cuts chosen by the last [`Self::sample_cuts`], ascending.
+    cuts: Vec<u16>,
 }
 
-impl Histogram {
-    pub(crate) fn compute(data: &Dataset, attr: usize, ids: &[u32]) -> Self {
-        let card = data.schema().attributes()[attr].cardinality() as usize;
-        let column = data.column(attr);
+impl CutHistogram {
+    /// Fills the cumulative histogram of `attr` over `ids` and returns the
+    /// attribute's cardinality (the histogram's live length).
+    pub(crate) fn fill(&mut self, data: &Dataset, attr: u16, ids: &[u32]) -> usize {
+        let card = data.schema().attributes()[attr as usize].cardinality() as usize;
+        let (counts, pos) = (&mut self.counts[..card], &mut self.pos[..card]);
+        counts.fill(0);
+        pos.fill(0);
+        let column = data.column(attr as usize);
         let labels = data.labels();
-        let mut counts = vec![0u32; card];
-        let mut pos = vec![0u32; card];
         for &id in ids {
             let c = column[id as usize] as usize;
             counts[c] += 1;
             pos[c] += u32::from(labels[id as usize]);
         }
-        Self { counts, pos }
-    }
-
-    /// Distinct codes present, ascending.
-    pub(crate) fn present(&self) -> Vec<u16> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, _)| code_u16(i))
-            .collect()
+        for c in 1..card {
+            counts[c] += counts[c - 1];
+            pos[c] += pos[c - 1];
+        }
+        card
     }
 
     /// `(n_left, n_left_pos)` of the cut `code <= threshold`.
+    #[inline]
     pub(crate) fn left_stats(&self, threshold: u16) -> (u32, u32) {
-        let t = threshold as usize;
-        let n_left: u32 = self.counts[..=t].iter().sum();
-        let n_left_pos: u32 = self.pos[..=t].iter().sum();
-        (n_left, n_left_pos)
+        (self.counts[threshold as usize], self.pos[threshold as usize])
+    }
+
+    /// Samples up to `k` cut thresholds, without replacement, from the
+    /// codes present in the histogram (every present code except the
+    /// largest is a valid cut). `exclude` suppresses cuts already cached
+    /// (used when replenishing after unlearning). The chosen cuts are kept
+    /// sorted, so equal RNG states give identical candidate layouts.
+    pub(crate) fn sample_cuts(
+        &mut self,
+        card: usize,
+        k: usize,
+        exclude: impl Fn(u16) -> bool,
+        rng: &mut StdRng,
+    ) {
+        self.cuts.clear();
+        let mut below = 0;
+        let mut last_present = None;
+        for c in 0..card {
+            if self.counts[c] > below {
+                below = self.counts[c];
+                if let Some(prev) = last_present.replace(code_u16(c)) {
+                    if !exclude(prev) {
+                        self.cuts.push(prev);
+                    }
+                }
+            }
+        }
+        self.cuts.shuffle(rng);
+        self.cuts.truncate(k);
+        self.cuts.sort_unstable();
+    }
+
+    /// The candidates of the last [`Self::sample_cuts`] on `attr`.
+    pub(crate) fn candidates(&self, attr: u16) -> impl Iterator<Item = Candidate> + '_ {
+        self.cuts.iter().map(move |&threshold| {
+            let (n_left, n_left_pos) = self.left_stats(threshold);
+            Candidate { attr, threshold, n_left, n_left_pos }
+        })
     }
 }
 
-/// Stable partition of `ids` into (left, right) by `code <= threshold`.
-pub(crate) fn partition(
-    data: &Dataset,
-    ids: &[u32],
-    attr: u16,
+/// The builder's workspace: created once per build (or per delete/insert
+/// pass) and threaded down the recursion, so per-node work allocates
+/// nothing but what the node keeps.
+pub(crate) struct BuildScratch {
+    /// Attribute order for the per-node shuffle.
+    attrs: Vec<u16>,
+    /// Label histogram and sampled cuts of one attribute.
+    pub(crate) hist: CutHistogram,
+    /// Valid candidates of the greedy node being built.
+    candidates: Vec<Candidate>,
+    /// Right side of [`partition_in_place`].
+    pub(crate) right: Vec<u32>,
+}
+
+impl BuildScratch {
+    /// An empty workspace sized for `data`'s schema.
+    pub(crate) fn new(data: &Dataset) -> Self {
+        let max_card = data
+            .schema()
+            .attributes()
+            .iter()
+            .map(|a| a.cardinality() as usize)
+            .max()
+            .unwrap_or(0);
+        Self {
+            attrs: Vec::with_capacity(data.num_attributes()),
+            hist: CutHistogram {
+                counts: vec![0; max_card],
+                pos: vec![0; max_card],
+                cuts: Vec::with_capacity(max_card),
+            },
+            candidates: Vec::new(),
+            right: Vec::new(),
+        }
+    }
+
+    /// Resets `attrs` to `0..p` and shuffles it, consuming the RNG exactly
+    /// as a fresh shuffled attribute vector would.
+    fn shuffle_attrs(&mut self, p: usize, rng: &mut StdRng) {
+        self.attrs.clear();
+        self.attrs.extend(0..code_u16(p));
+        self.attrs.shuffle(rng);
+    }
+}
+
+/// Stably partitions `ids` in place into `code(attr) <= threshold` (front)
+/// and the rest (back), using `right` as the buffer for the back part.
+/// Returns the length of the front part. Both parts keep their relative
+/// order, so a sorted slice yields two sorted parts.
+pub(crate) fn partition_in_place(
+    column: &[u16],
     threshold: u16,
-) -> (Vec<u32>, Vec<u32>) {
-    let column = data.column(attr as usize);
-    let mut left = Vec::new();
-    let mut right = Vec::new();
-    for &id in ids {
+    ids: &mut [u32],
+    right: &mut Vec<u32>,
+) -> usize {
+    right.clear();
+    let mut n_left = 0;
+    for i in 0..ids.len() {
+        let id = ids[i];
         if column[id as usize] <= threshold {
-            left.push(id);
+            ids[n_left] = id;
+            n_left += 1;
         } else {
             right.push(id);
         }
     }
-    (left, right)
+    ids[n_left..].copy_from_slice(right);
+    n_left
+}
+
+/// Applies the label histogram of `rows` to every cached candidate:
+/// `apply(candidate, n_left_delta, n_left_pos_delta)` receives how many of
+/// `rows` (and how many positive ones) fall on the candidate's left side.
+/// One cumulative histogram per distinct attribute replaces a scan of
+/// every row per candidate; candidates may come in any attribute order.
+pub(crate) fn shift_candidates(
+    candidates: &mut [Candidate],
+    rows: &[u32],
+    data: &Dataset,
+    hist: &mut CutHistogram,
+    mut apply: impl FnMut(&mut Candidate, u32, u32),
+) {
+    for i in 0..candidates.len() {
+        let attr = candidates[i].attr;
+        if candidates[..i].iter().any(|c| c.attr == attr) {
+            continue; // this attribute's histogram was already applied
+        }
+        hist.fill(data, attr, rows);
+        for cand in candidates[i..].iter_mut().filter(|c| c.attr == attr) {
+            let (dn, dpos) = hist.left_stats(cand.threshold);
+            apply(cand, dn, dpos);
+        }
+    }
 }
 
 fn count_pos(data: &Dataset, ids: &[u32]) -> u32 {
     let labels = data.labels();
     row_u32(ids.iter().filter(|&&id| labels[id as usize]).count())
-}
-
-fn make_leaf(data: &Dataset, ids: Vec<u32>) -> Node {
-    let n_pos = count_pos(data, &ids);
-    Node::Leaf(Leaf { ids, n_pos })
 }
 
 /// Whether a candidate split separates the node's data while honoring the
@@ -118,78 +233,71 @@ pub(crate) fn best_candidate(
     best.map(|(i, _)| i)
 }
 
-/// Samples up to `k` cut thresholds for `attr` from the histogram's present
-/// codes (every present code except the largest is a valid cut), without
-/// replacement, and computes their statistics. `exclude` suppresses cuts
-/// already cached (used when replenishing after unlearning).
-pub(crate) fn sample_candidates(
-    hist: &Histogram,
+/// The split a node settles on, before its children are built.
+struct Split {
     attr: u16,
-    k: usize,
-    exclude: &[u16],
-    rng: &mut StdRng,
-) -> Vec<Candidate> {
-    let present = hist.present();
-    if present.len() < 2 {
-        return Vec::new();
-    }
-    let mut cuts: Vec<u16> = present[..present.len() - 1]
-        .iter()
-        .copied()
-        .filter(|c| !exclude.contains(c))
-        .collect();
-    cuts.shuffle(rng);
-    cuts.truncate(k);
-    // Deterministic order within the node regardless of shuffle: sort the
-    // chosen cuts so equal RNG states give identical candidate layouts.
-    cuts.sort_unstable();
-    cuts.into_iter()
-        .map(|threshold| {
-            let (n_left, n_left_pos) = hist.left_stats(threshold);
-            Candidate { attr, threshold, n_left, n_left_pos }
-        })
-        .collect()
+    threshold: u16,
+    is_random: bool,
+    candidates: Vec<Candidate>,
+    chosen: u32,
 }
 
-/// Recursively builds a (sub)tree over `ids` rooted at `depth`.
+/// Recursively builds a (sub)tree over `ids` rooted at `depth`. `ids` is
+/// reordered in place (stably partitioned at every split).
 pub(crate) fn build_node(
     data: &Dataset,
-    ids: Vec<u32>,
+    ids: &mut [u32],
     depth: usize,
     rng: &mut StdRng,
     cfg: &DareConfig,
+    scratch: &mut BuildScratch,
 ) -> Node {
     let n = row_u32(ids.len());
-    let n_pos = count_pos(data, &ids);
-    if n < cfg.min_samples_split || n_pos == 0 || n_pos == n || depth >= cfg.max_depth {
-        return make_leaf(data, ids);
-    }
-
-    if depth < cfg.random_depth {
-        return build_random_node(data, ids, n, n_pos, depth, rng, cfg);
-    }
-    build_greedy_node(data, ids, n, n_pos, depth, rng, cfg)
+    let n_pos = count_pos(data, ids);
+    let splittable =
+        n >= cfg.min_samples_split && n_pos > 0 && n_pos < n && depth < cfg.max_depth;
+    let split = match splittable {
+        false => None,
+        true if depth < cfg.random_depth => random_split(data, ids, n, rng, cfg, scratch),
+        true => greedy_split(data, ids, n, n_pos, rng, cfg, scratch),
+    };
+    let Some(Split { attr, threshold, is_random, candidates, chosen }) = split else {
+        return Node::Leaf(Leaf { ids: ids.to_vec(), n_pos });
+    };
+    let n_left = partition_in_place(data.column(attr as usize), threshold, ids, &mut scratch.right);
+    let (left_ids, right_ids) = ids.split_at_mut(n_left);
+    let left = build_node(data, left_ids, depth + 1, rng, cfg, scratch);
+    let right = build_node(data, right_ids, depth + 1, rng, cfg, scratch);
+    Node::Internal(Box::new(Internal {
+        attr,
+        threshold,
+        is_random,
+        n,
+        n_pos,
+        candidates,
+        chosen,
+        left,
+        right,
+    }))
 }
 
-/// A random upper-layer node: uniformly random attribute, uniformly random
-/// threshold within that attribute's observed code range. Both children are
-/// non-empty by construction (`threshold ∈ [min, max)`).
-fn build_random_node(
+/// A random upper-layer split: uniformly random attribute, uniformly
+/// random threshold within that attribute's observed code range. Both
+/// children are non-empty by construction (`threshold ∈ [min, max)`).
+/// `None` when no attribute can split the node's data.
+fn random_split(
     data: &Dataset,
-    ids: Vec<u32>,
+    ids: &[u32],
     n: u32,
-    n_pos: u32,
-    depth: usize,
     rng: &mut StdRng,
     cfg: &DareConfig,
-) -> Node {
-    let p = data.num_attributes();
-    let mut attrs: Vec<u16> = (0..code_u16(p)).collect();
-    attrs.shuffle(rng);
-    for attr in attrs {
+    scratch: &mut BuildScratch,
+) -> Option<Split> {
+    scratch.shuffle_attrs(data.num_attributes(), rng);
+    for &attr in &scratch.attrs {
         let column = data.column(attr as usize);
         let (mut lo, mut hi) = (u16::MAX, 0u16);
-        for &id in &ids {
+        for &id in ids {
             let c = column[id as usize];
             lo = lo.min(c);
             hi = hi.max(c);
@@ -198,79 +306,53 @@ fn build_random_node(
             continue; // constant attribute in this node
         }
         let threshold = rng.gen_range(lo..hi);
-        let (left_ids, right_ids) = partition(data, &ids, attr, threshold);
-        if row_u32(left_ids.len()) < cfg.min_samples_leaf
-            || row_u32(right_ids.len()) < cfg.min_samples_leaf
-        {
+        let n_left = row_u32(ids.iter().filter(|&&id| column[id as usize] <= threshold).count());
+        if n_left < cfg.min_samples_leaf || n - n_left < cfg.min_samples_leaf {
             continue;
         }
-        let left = build_node(data, left_ids, depth + 1, rng, cfg);
-        let right = build_node(data, right_ids, depth + 1, rng, cfg);
-        return Node::Internal(Box::new(Internal {
-            attr,
-            threshold,
-            is_random: true,
-            n,
-            n_pos,
-            candidates: Vec::new(),
-            chosen: 0,
-            left,
-            right,
-        }));
+        return Some(Split { attr, threshold, is_random: true, candidates: Vec::new(), chosen: 0 });
     }
-    // No attribute can split this node's data.
-    make_leaf(data, ids)
+    None
 }
 
-/// A greedy node: samples `p̃` attributes and `k'` thresholds per attribute,
-/// caches every candidate's statistics, and splits on the best Gini gain.
-fn build_greedy_node(
+/// A greedy split: samples `p̃` attributes and `k'` thresholds per
+/// attribute, caches every candidate's statistics, and splits on the best
+/// Gini gain. `None` when no candidate is valid.
+fn greedy_split(
     data: &Dataset,
-    ids: Vec<u32>,
+    ids: &[u32],
     n: u32,
     n_pos: u32,
-    depth: usize,
     rng: &mut StdRng,
     cfg: &DareConfig,
-) -> Node {
+    scratch: &mut BuildScratch,
+) -> Option<Split> {
     let p = data.num_attributes();
-    let p_tilde = cfg.max_features.resolve(p);
-    let mut attrs: Vec<u16> = (0..code_u16(p)).collect();
-    attrs.shuffle(rng);
-    attrs.truncate(p_tilde);
-    attrs.sort_unstable(); // deterministic candidate layout
+    scratch.shuffle_attrs(p, rng);
+    scratch.attrs.truncate(cfg.max_features.resolve(p));
+    scratch.attrs.sort_unstable(); // deterministic candidate layout
 
-    let mut candidates = Vec::new();
-    for attr in attrs {
-        let hist = Histogram::compute(data, attr as usize, &ids);
-        candidates.extend(sample_candidates(&hist, attr, cfg.n_thresholds, &[], rng));
-    }
     // Only cache candidates the builder could actually choose: cuts that
     // violate the leaf-size minimum would be dead weight and would break
     // the "every cached candidate is valid" invariant that unlearning's
     // replenishment step maintains.
-    candidates.retain(|c| candidate_valid(c, n, cfg));
-
-    match best_candidate(&candidates, n, n_pos, cfg) {
-        None => make_leaf(data, ids),
-        Some(chosen) => {
-            let (attr, threshold) = (candidates[chosen].attr, candidates[chosen].threshold);
-            let (left_ids, right_ids) = partition(data, &ids, attr, threshold);
-            let left = build_node(data, left_ids, depth + 1, rng, cfg);
-            let right = build_node(data, right_ids, depth + 1, rng, cfg);
-            Node::Internal(Box::new(Internal {
-                attr,
-                threshold,
-                is_random: false,
-                n,
-                n_pos,
-                candidates,
-                chosen: row_u32(chosen),
-                left,
-                right,
-            }))
-        }
+    let BuildScratch { attrs, hist, candidates, .. } = scratch;
+    candidates.clear();
+    for &attr in attrs.iter() {
+        let card = hist.fill(data, attr, ids);
+        hist.sample_cuts(card, cfg.n_thresholds, |_| false, rng);
+        candidates.extend(hist.candidates(attr).filter(|c| candidate_valid(c, n, cfg)));
     }
+
+    let chosen = best_candidate(candidates, n, n_pos, cfg)?;
+    let Candidate { attr, threshold, .. } = candidates[chosen];
+    Some(Split {
+        attr,
+        threshold,
+        is_random: false,
+        candidates: candidates.to_vec(),
+        chosen: row_u32(chosen),
+    })
 }
 
 #[cfg(test)]
@@ -314,34 +396,72 @@ mod tests {
         }
     }
 
-    #[test]
-    fn histogram_counts() {
-        let d = xor_data();
-        let ids = d.all_row_ids();
-        let h = Histogram::compute(&d, 0, &ids);
-        assert_eq!(h.counts, vec![32, 32]);
-        assert_eq!(h.pos.iter().sum::<u32>(), 32);
-        assert_eq!(h.present(), vec![0, 1]);
-        assert_eq!(h.left_stats(0), (32, 16));
-        assert_eq!(h.left_stats(1), (64, 32));
+    /// Builds over all rows of `d` with a fresh workspace.
+    fn build(d: &Dataset, seed: u64, cfg: &DareConfig) -> Node {
+        build_ids(d, d.all_row_ids(), seed, cfg)
+    }
+
+    fn build_ids(d: &Dataset, mut ids: Vec<u32>, seed: u64, cfg: &DareConfig) -> Node {
+        let mut rng = StdRng::seed_from_u64(seed);
+        build_node(d, &mut ids, 0, &mut rng, cfg, &mut BuildScratch::new(d))
     }
 
     #[test]
-    fn partition_is_stable_and_complete() {
+    fn histogram_is_cumulative() {
         let d = xor_data();
         let ids = d.all_row_ids();
-        let (l, r) = partition(&d, &ids, 0, 0);
-        assert_eq!(l.len() + r.len(), ids.len());
+        let mut scratch = BuildScratch::new(&d);
+        let h = &mut scratch.hist;
+        assert_eq!(h.fill(&d, 0, &ids), 2);
+        assert_eq!(h.left_stats(0), (32, 16));
+        assert_eq!(h.left_stats(1), (64, 32));
+        // Refilling over a subset forgets the previous contents.
+        assert_eq!(h.fill(&d, 2, &ids[..6]), 3);
+        assert_eq!((h.left_stats(0), h.left_stats(1), h.left_stats(2)), ((2, 0), (4, 1), (6, 3)));
+    }
+
+    #[test]
+    fn partition_in_place_is_stable_and_complete() {
+        let d = xor_data();
+        let mut ids = d.all_row_ids();
+        let mut right = Vec::new();
+        let n_left = partition_in_place(d.column(0), 0, &mut ids, &mut right);
+        let (l, r) = ids.split_at(n_left);
+        assert_eq!(n_left, 32);
         assert!(l.windows(2).all(|w| w[0] < w[1]), "stable order");
+        assert!(r.windows(2).all(|w| w[0] < w[1]), "stable order");
         assert!(l.iter().all(|&id| d.code(id as usize, 0) == 0));
         assert!(r.iter().all(|&id| d.code(id as usize, 0) == 1));
     }
 
     #[test]
+    fn partition_in_place_matches_a_stable_filter_on_random_input() {
+        let mut rng = StdRng::seed_from_u64(21);
+        let column: Vec<u16> = (0..500).map(|_| rng.gen_range(0..7u16)).collect();
+        let mut right = Vec::new();
+        for round in 0..50 {
+            let len = rng.gen_range(0..200usize);
+            let mut ids: Vec<u32> = (0..len).map(|_| rng.gen_range(0..500u32)).collect();
+            let before = ids.clone();
+            let threshold = rng.gen_range(0..7u16);
+            let n_left = partition_in_place(&column, threshold, &mut ids, &mut right);
+            let goes_left = |id: &&u32| column[**id as usize] <= threshold;
+            let want_left: Vec<u32> = before.iter().filter(goes_left).copied().collect();
+            let want_right: Vec<u32> =
+                before.iter().filter(|id| !goes_left(id)).copied().collect();
+            assert_eq!(&ids[..n_left], want_left.as_slice(), "round {round}: left order");
+            assert_eq!(&ids[n_left..], want_right.as_slice(), "round {round}: right order");
+            let (mut sorted_before, mut sorted_after) = (before, ids);
+            sorted_before.sort_unstable();
+            sorted_after.sort_unstable();
+            assert_eq!(sorted_before, sorted_after, "round {round}: not a permutation");
+        }
+    }
+
+    #[test]
     fn greedy_tree_learns_xor() {
         let d = xor_data();
-        let mut rng = StdRng::seed_from_u64(1);
-        let root = build_node(&d, d.all_row_ids(), 0, &mut rng, &cfg());
+        let root = build(&d, 1, &cfg());
         for row in 0..d.num_rows() {
             let p = root.predict_row(&d, row);
             assert_eq!(p > 0.5, d.label(row), "row {row} proba {p}");
@@ -351,8 +471,7 @@ mod tests {
     #[test]
     fn node_statistics_are_consistent() {
         let d = xor_data();
-        let mut rng = StdRng::seed_from_u64(2);
-        let root = build_node(&d, d.all_row_ids(), 0, &mut rng, &cfg());
+        let root = build(&d, 2, &cfg());
         fn check(node: &Node) {
             if let Node::Internal(i) = node {
                 assert_eq!(i.n, i.left.n() + i.right.n());
@@ -371,10 +490,9 @@ mod tests {
     #[test]
     fn random_layers_are_marked() {
         let d = xor_data();
-        let mut rng = StdRng::seed_from_u64(3);
         let mut c = cfg();
         c.random_depth = 2;
-        let root = build_node(&d, d.all_row_ids(), 0, &mut rng, &c);
+        let root = build(&d, 3, &c);
         if let Node::Internal(i) = &root {
             assert!(i.is_random);
             assert!(i.candidates.is_empty());
@@ -391,8 +509,7 @@ mod tests {
         let pure_ids: Vec<u32> = (0..d.num_rows() as u32)
             .filter(|&r| d.label(r as usize))
             .collect();
-        let mut rng = StdRng::seed_from_u64(4);
-        let root = build_node(&d, pure_ids.clone(), 0, &mut rng, &cfg());
+        let root = build_ids(&d, pure_ids.clone(), 4, &cfg());
         match root {
             Node::Leaf(l) => {
                 assert_eq!(l.ids.len(), pure_ids.len());
@@ -407,23 +524,29 @@ mod tests {
         let d = xor_data();
         let mut c = cfg();
         c.max_depth = 0;
-        let mut rng = StdRng::seed_from_u64(5);
-        let root = build_node(&d, d.all_row_ids(), 0, &mut rng, &c);
+        let root = build(&d, 5, &c);
         assert!(matches!(root, Node::Leaf(_)));
     }
 
     #[test]
-    fn sample_candidates_excludes_and_caps() {
+    fn sample_cuts_excludes_and_caps() {
         let d = xor_data();
-        let h = Histogram::compute(&d, 2, &d.all_row_ids()); // codes 0,1,2
+        let mut scratch = BuildScratch::new(&d);
+        let h = &mut scratch.hist;
+        let card = h.fill(&d, 2, &d.all_row_ids()); // codes 0,1,2
         let mut rng = StdRng::seed_from_u64(6);
-        let all = sample_candidates(&h, 2, 10, &[], &mut rng);
-        assert_eq!(all.len(), 2); // cuts at 0 and 1
-        let excl = sample_candidates(&h, 2, 10, &[0], &mut rng);
+        h.sample_cuts(card, 10, |_| false, &mut rng);
+        assert_eq!(h.candidates(2).count(), 2); // cuts at 0 and 1
+        h.sample_cuts(card, 10, |t| t == 0, &mut rng);
+        let excl: Vec<Candidate> = h.candidates(2).collect();
         assert_eq!(excl.len(), 1);
-        assert_eq!(excl[0].threshold, 1);
-        let capped = sample_candidates(&h, 2, 1, &[], &mut rng);
-        assert_eq!(capped.len(), 1);
+        assert_eq!((excl[0].threshold, excl[0].n_left), (1, 43));
+        h.sample_cuts(card, 1, |_| false, &mut rng);
+        assert_eq!(h.candidates(2).count(), 1);
+        // A single present code offers no cut.
+        let card = h.fill(&d, 2, &[0, 3, 6]);
+        h.sample_cuts(card, 10, |_| false, &mut rng);
+        assert_eq!(h.candidates(2).count(), 0);
     }
 
     #[test]
@@ -431,8 +554,7 @@ mod tests {
         let d = xor_data();
         let mut c = cfg();
         c.min_samples_leaf = 8;
-        let mut rng = StdRng::seed_from_u64(7);
-        let root = build_node(&d, d.all_row_ids(), 0, &mut rng, &c);
+        let root = build(&d, 7, &c);
         fn check(node: &Node, msl: u32) {
             if let Node::Internal(i) = node {
                 assert!(i.left.n() >= msl && i.right.n() >= msl);

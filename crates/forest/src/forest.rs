@@ -346,6 +346,7 @@ fn merge_delete_reports(reports: &[DeleteReport]) -> DeleteReport {
 fn emit_delete_counters(n_deleted: usize, total: &DeleteReport) {
     fume_obs::counter!("forest.instances_removed", n_deleted);
     fume_obs::counter!("forest.nodes_retrained", total.subtrees_retrained);
+    fume_obs::counter!("forest.rows_retrained", total.rows_retrained);
     fume_obs::counter!("forest.nodes_updated", total.nodes_updated);
     fume_obs::counter!("forest.leaves_updated", total.leaves_updated);
     fume_obs::counter!("forest.candidates_replenished", total.candidates_replenished);

@@ -21,7 +21,7 @@ use fume_tabular::cast::row_u32;
 use fume_tabular::rng::StdRng;
 use fume_tabular::Dataset;
 
-use crate::builder::{build_node, partition};
+use crate::builder::{build_node, partition_in_place, shift_candidates, BuildScratch};
 use crate::config::DareConfig;
 use crate::node::{Internal, Node};
 
@@ -50,71 +50,87 @@ fn leaf_should_split(n: u32, n_pos: u32, depth: usize, cfg: &DareConfig) -> bool
     n >= cfg.min_samples_split && n_pos > 0 && n_pos < n && depth < cfg.max_depth
 }
 
-/// Inserts the sorted id set `ins` into the subtree rooted at `node`.
-pub(crate) fn insert_into_node(
-    node: &mut Node,
-    ins: &[u32],
-    data: &Dataset,
-    depth: usize,
-    rng: &mut StdRng,
-    cfg: &DareConfig,
-    report: &mut InsertReport,
-) {
-    if ins.is_empty() {
-        return;
-    }
-    let labels = data.labels();
-    let ins_pos = row_u32(ins.iter().filter(|&&id| labels[id as usize]).count());
-
-    match node {
-        Node::Leaf(leaf) => {
-            leaf.ids.extend_from_slice(ins);
-            leaf.n_pos += ins_pos;
-            let (n, n_pos) = (row_u32(leaf.ids.len()), leaf.n_pos);
-            if leaf_should_split(n, n_pos, depth, cfg) {
-                let ids = std::mem::take(&mut leaf.ids);
-                *node = build_node(data, ids, depth, rng, cfg);
-                report.subtrees_rebuilt += usize::from(matches!(node, Node::Internal(_)));
-                report.leaves_updated += usize::from(matches!(node, Node::Leaf(_)));
-            } else {
-                report.leaves_updated += 1;
-            }
-        }
-        Node::Internal(internal) => {
-            internal.n += row_u32(ins.len());
-            internal.n_pos += ins_pos;
-            report.nodes_updated += 1;
-
-            let (ins_left, ins_right) =
-                partition(data, ins, internal.attr, internal.threshold);
-
-            if !internal.is_random {
-                update_candidates_add(internal, ins, data);
-                if greedy_split_beaten_after_insert(internal, cfg) {
-                    let mut ids = Vec::with_capacity(internal.n as usize);
-                    internal.left.collect_ids(&mut ids);
-                    internal.right.collect_ids(&mut ids);
-                    ids.extend_from_slice(ins);
-                    *node = build_node(data, ids, depth, rng, cfg);
-                    report.subtrees_rebuilt += 1;
-                    return;
-                }
-            }
-
-            insert_into_node(&mut internal.left, &ins_left, data, depth + 1, rng, cfg, report);
-            insert_into_node(&mut internal.right, &ins_right, data, depth + 1, rng, cfg, report);
-        }
-    }
+/// One top-down insertion pass over a tree, sharing one builder workspace
+/// between rebuilds and the per-node partition of the inserted ids.
+pub(crate) struct InsertPass<'a> {
+    data: &'a Dataset,
+    cfg: &'a DareConfig,
+    rng: &'a mut StdRng,
+    report: &'a mut InsertReport,
+    scratch: BuildScratch,
 }
 
-fn update_candidates_add(internal: &mut Internal, ins: &[u32], data: &Dataset) {
-    let labels = data.labels();
-    for cand in &mut internal.candidates {
-        let column = data.column(cand.attr as usize);
-        for &id in ins {
-            if column[id as usize] <= cand.threshold {
-                cand.n_left += 1;
-                cand.n_left_pos += u32::from(labels[id as usize]);
+impl<'a> InsertPass<'a> {
+    /// Builds a pass over `data`.
+    pub(crate) fn new(
+        data: &'a Dataset,
+        cfg: &'a DareConfig,
+        rng: &'a mut StdRng,
+        report: &'a mut InsertReport,
+    ) -> Self {
+        let scratch = BuildScratch::new(data);
+        Self { data, cfg, rng, report, scratch }
+    }
+
+    /// Inserts the sorted id set `ins` into the subtree rooted at `node`,
+    /// which sits at `depth`.
+    pub(crate) fn insert_at(&mut self, node: &mut Node, ins: &[u32], depth: usize) {
+        // The traversal partitions the inserted ids in place, node by node.
+        let mut ins = ins.to_vec();
+        self.insert(node, &mut ins, depth);
+    }
+
+    fn insert(&mut self, node: &mut Node, ins: &mut [u32], depth: usize) {
+        if ins.is_empty() {
+            return;
+        }
+        let (data, cfg) = (self.data, self.cfg);
+        let labels = data.labels();
+        let ins_pos = row_u32(ins.iter().filter(|&&id| labels[id as usize]).count());
+
+        match node {
+            Node::Leaf(leaf) => {
+                leaf.ids.extend_from_slice(ins);
+                leaf.n_pos += ins_pos;
+                let (n, n_pos) = (row_u32(leaf.ids.len()), leaf.n_pos);
+                if leaf_should_split(n, n_pos, depth, cfg) {
+                    let mut ids = std::mem::take(&mut leaf.ids);
+                    *node = build_node(data, &mut ids, depth, self.rng, cfg, &mut self.scratch);
+                    let grew = matches!(node, Node::Internal(_));
+                    self.report.subtrees_rebuilt += usize::from(grew);
+                    self.report.leaves_updated += usize::from(!grew);
+                } else {
+                    self.report.leaves_updated += 1;
+                }
+            }
+            Node::Internal(internal) => {
+                internal.n += row_u32(ins.len());
+                internal.n_pos += ins_pos;
+                self.report.nodes_updated += 1;
+
+                if !internal.is_random {
+                    let hist = &mut self.scratch.hist;
+                    shift_candidates(&mut internal.candidates, ins, data, hist, |c, dn, dpos| {
+                        c.n_left += dn;
+                        c.n_left_pos += dpos;
+                    });
+                    if greedy_split_beaten_after_insert(internal, cfg) {
+                        let mut ids = Vec::with_capacity(internal.n as usize);
+                        internal.left.collect_ids(&mut ids);
+                        internal.right.collect_ids(&mut ids);
+                        ids.extend_from_slice(ins);
+                        *node = build_node(data, &mut ids, depth, self.rng, cfg, &mut self.scratch);
+                        self.report.subtrees_rebuilt += 1;
+                        return;
+                    }
+                }
+
+                let column = data.column(internal.attr as usize);
+                let n_left =
+                    partition_in_place(column, internal.threshold, ins, &mut self.scratch.right);
+                let (ins_left, ins_right) = ins.split_at_mut(n_left);
+                self.insert(&mut internal.left, ins_left, depth + 1);
+                self.insert(&mut internal.right, ins_right, depth + 1);
             }
         }
     }
@@ -217,7 +233,8 @@ mod tests {
         let mut rng = fume_tabular::rng::SeedableRng::seed_from_u64(74);
         let mut report = InsertReport::default();
         let ids: Vec<u32> = (0..40).collect();
-        insert_into_node(&mut node, &ids, &data, 0, &mut rng, &cfg(), &mut report);
+        let cfg = cfg();
+        InsertPass::new(&data, &cfg, &mut rng, &mut report).insert_at(&mut node, &ids, 0);
         assert_eq!(node.n(), 40);
     }
 }

@@ -4,10 +4,10 @@
 use fume_tabular::Dataset;
 use fume_tabular::rng::{SeedableRng, StdRng};
 
-use crate::builder::build_node;
+use crate::builder::{build_node, BuildScratch};
 use crate::config::DareConfig;
 use crate::delete::{delete_from_node, DeletePass, DeleteReport};
-use crate::insert::{insert_into_node, InsertReport};
+use crate::insert::{InsertPass, InsertReport};
 use crate::journal::{rollback_records, JournalSink, NodePath, TreeUndo};
 use crate::node::Node;
 
@@ -24,10 +24,10 @@ pub struct DareTree {
 
 impl DareTree {
     /// Trains a tree on the instances `ids` of `data`.
-    pub fn fit(data: &Dataset, ids: Vec<u32>, cfg: &DareConfig, seed: u64) -> Self {
+    pub fn fit(data: &Dataset, mut ids: Vec<u32>, cfg: &DareConfig, seed: u64) -> Self {
         // fume-lint: allow(F003) -- seed provenance: derived by DareForest::fit_on from config.seed and the tree index, so the stream is reproducible per (config, tree)
         let mut rng = StdRng::seed_from_u64(seed);
-        let root = build_node(data, ids, 0, &mut rng, cfg);
+        let root = build_node(data, &mut ids, 0, &mut rng, cfg, &mut BuildScratch::new(data));
         Self { root, rng }
     }
 
@@ -91,7 +91,7 @@ impl DareTree {
         let mut report = DeleteReport::default();
         let mut pass =
             DeletePass::new(data, cfg, &mut self.rng, &mut report, JournalSink::On(Vec::new()));
-        pass.delete(&mut self.root, del, 0, NodePath::ROOT);
+        pass.delete_at(&mut self.root, del, 0, NodePath::ROOT);
         let records = pass.into_records();
         (report, TreeUndo { records, rng: rng_before })
     }
@@ -117,7 +117,7 @@ impl DareTree {
     pub fn insert(&mut self, ins: &[u32], data: &Dataset, cfg: &DareConfig) -> InsertReport {
         debug_assert!(ins.windows(2).all(|w| w[0] < w[1]), "ids must be sorted unique");
         let mut report = InsertReport::default();
-        insert_into_node(&mut self.root, ins, data, 0, &mut self.rng, cfg, &mut report);
+        InsertPass::new(data, cfg, &mut self.rng, &mut report).insert_at(&mut self.root, ins, 0);
         report
     }
 
