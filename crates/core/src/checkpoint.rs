@@ -840,7 +840,7 @@ mod tests {
 
     #[test]
     fn save_load_via_directory_and_missing_dir_is_nothing_to_resume() {
-        let dir = std::env::temp_dir().join("fume_ckpt_unit_test");
+        let dir = std::env::temp_dir().join(format!("fume_ckpt_unit_test_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         assert!(matches!(
             load_state(&dir),

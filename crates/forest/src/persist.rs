@@ -520,18 +520,20 @@ mod tests {
     #[test]
     fn file_roundtrip() {
         let (f, data) = forest();
-        let dir = std::env::temp_dir().join("fume_persist_test");
+        let dir = std::env::temp_dir().join(format!("fume_persist_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.dare");
         save(&f, &path).unwrap();
         let g = load(&path).unwrap();
         assert_eq!(f.predict_proba(&data), g.predict_proba(&data));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn atomic_save_replaces_and_leaves_no_tmp() {
         let (f, data) = forest();
-        let dir = std::env::temp_dir().join("fume_persist_atomic_test");
+        let dir = std::env::temp_dir()
+            .join(format!("fume_persist_atomic_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.dare");
         // Seed the path with garbage: the rename must replace it whole.
@@ -542,6 +544,7 @@ mod tests {
         let mut tmp = path.as_os_str().to_os_string();
         tmp.push(".tmp");
         assert!(!std::path::Path::new(&tmp).exists(), "tmp file must not linger");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -198,7 +198,8 @@ fn cli_exits_zero_on_good_fixture() {
 
 #[test]
 fn cli_json_report_lists_rule_and_line() {
-    let json_path = std::env::temp_dir().join("fume-lint-fixture-report.json");
+    let json_path = std::env::temp_dir()
+        .join(format!("fume-lint-fixture-report-{}.json", std::process::id()));
     let out = Command::new(env!("CARGO_BIN_EXE_fume-lint"))
         .arg("--json")
         .arg(&json_path)

@@ -278,7 +278,7 @@ mod tests {
 
     #[test]
     fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("fume_csv_test");
+        let dir = std::env::temp_dir().join(format!("fume_csv_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sample.csv");
         std::fs::write(&path, SAMPLE).unwrap();
@@ -288,5 +288,6 @@ mod tests {
         let out = dir.join("out.csv");
         write_csv(&data, &out, &CsvOptions::default()).unwrap();
         assert!(std::fs::read_to_string(&out).unwrap().starts_with("age,housing,label"));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

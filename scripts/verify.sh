@@ -230,6 +230,45 @@ if ! awk -v s="$serve_speedup" 'BEGIN { exit !(s >= 1.0) }'; then
 fi
 echo "    warm path ${serve_speedup}x over cold"
 
+echo "==> end-to-end explain bench: answers checked, work counts exact (seed 1, traced)"
+# A traced run checks every answer and replays every evaluated subset
+# layer by layer. Its work counts are deterministic for a seed, so they
+# are gated exactly; a change to any of them needs a CHANGES.md line.
+# Each spec: workload, then forest.subtrees_retrained, forest.nodes_updated,
+# core.evals, lattice.generated, lattice.explored, lattice.pruned.
+e2e_count() {
+    printf '%s\n' "$1" | sed -n "s/.*\"$2\": {\"value\": \([0-9][0-9]*\),.*/\1/p"
+}
+for spec in "german-t3 116976 467994 893 1557 893 1117" \
+            "serve-audit 113686 609088 615 2790 615 1916"; do
+    set -- $spec
+    workload=$1
+    shift
+    out="target/e2e_${workload}.txt"
+    if ! cargo run --release --offline --quiet --manifest-path e2e_bench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 1 > "$out" 2> "$out.err"; then
+        echo "e2e bench $workload failed (stderr in $out.err)" >&2
+        exit 1
+    fi
+    line=$(tail -n 1 "$out")
+    case "$line" in
+        *'"correct": true,'*'"failed": 0,'*) ;;
+        *) echo "e2e bench $workload: answers not correct or operations failed" >&2
+           echo "$line" >&2
+           exit 1 ;;
+    esac
+    for metric in forest.subtrees_retrained forest.nodes_updated core.evals \
+                  lattice.generated lattice.explored lattice.pruned; do
+        got=$(e2e_count "$line" "$metric")
+        if [ "$got" != "$1" ]; then
+            echo "e2e bench $workload: $metric is ${got:-missing}, expected $1" >&2
+            exit 1
+        fi
+        shift
+    done
+    echo "    $workload: answers correct, 0 failed, work counts exact"
+done
+
 echo "==> verify: no crates-io dependencies"
 if cargo tree --offline --workspace --edges normal,build,dev | grep -v '^\s*$' \
     | grep -vE '\(\*\)$' | grep -E 'v[0-9]' | grep -vE 'fume(-[a-z]+)? v'; then

@@ -40,7 +40,9 @@ fn config(dir: &Path) -> FumeConfig {
 }
 
 fn fresh_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("fume_ckpt_resume").join(name);
+    let dir = std::env::temp_dir()
+        .join(format!("fume_ckpt_resume_{}", std::process::id()))
+        .join(name);
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

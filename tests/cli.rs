@@ -2,10 +2,16 @@
 
 use std::process::Command;
 
-fn write_loans_csv() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("fume_cli_test");
+/// A scratch directory of this test alone: tests run in parallel, so a
+/// shared path would let one test truncate a file another is reading.
+fn test_dir(test: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("fume_cli_test_{}_{test}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("loans.csv");
+    dir
+}
+
+fn write_loans_csv(test: &str) -> std::path::PathBuf {
+    let path = test_dir(test).join("loans.csv");
     let mut out = String::from("age,job,sex,approved\n");
     for i in 0..1500usize {
         let age = 20 + (i * 7) % 50;
@@ -49,7 +55,7 @@ fn common_args(cmd: &mut Command, csv: &std::path::Path) {
 
 #[test]
 fn explain_prints_a_topk_table() {
-    let csv = write_loans_csv();
+    let csv = write_loans_csv("explain_prints_a_topk_table");
     let mut cmd = cli();
     cmd.arg("explain");
     common_args(&mut cmd, &csv);
@@ -58,11 +64,12 @@ fn explain_prints_a_topk_table() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("| # | Patterns | Support | Parity Reduction |"), "{stdout}");
     assert!(stdout.contains("manual") || stdout.contains("sex"), "{stdout}");
+    let _ = std::fs::remove_dir_all(csv.parent().unwrap());
 }
 
 #[test]
 fn slices_and_baseline_subcommands_work() {
-    let csv = write_loans_csv();
+    let csv = write_loans_csv("slices_and_baseline_subcommands_work");
     for sub in ["slices", "baseline"] {
         let mut cmd = cli();
         cmd.arg(sub);
@@ -74,12 +81,13 @@ fn slices_and_baseline_subcommands_work() {
             String::from_utf8_lossy(&out.stderr)
         );
     }
+    let _ = std::fs::remove_dir_all(csv.parent().unwrap());
 }
 
 #[test]
 fn explain_with_trace_writes_jsonl_and_profile() {
-    let csv = write_loans_csv();
-    let trace = std::env::temp_dir().join("fume_cli_test").join("trace.jsonl");
+    let csv = write_loans_csv("explain_with_trace_writes_jsonl_and_profile");
+    let trace = csv.with_file_name("trace.jsonl");
     let _ = std::fs::remove_file(&trace);
     let mut cmd = cli();
     cmd.arg("explain");
@@ -102,7 +110,7 @@ fn explain_with_trace_writes_jsonl_and_profile() {
     assert!(jsonl.contains("\"name\":\"forest.nodes_retrained\""));
 
     // FUME_TRACE is the env-var spelling of the same switch.
-    let trace2 = std::env::temp_dir().join("fume_cli_test").join("trace2.jsonl");
+    let trace2 = csv.with_file_name("trace2.jsonl");
     let _ = std::fs::remove_file(&trace2);
     let mut cmd = cli();
     cmd.arg("explain");
@@ -111,6 +119,7 @@ fn explain_with_trace_writes_jsonl_and_profile() {
     let out = cmd.output().expect("binary runs");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(trace2.exists(), "FUME_TRACE must write a trace");
+    let _ = std::fs::remove_dir_all(csv.parent().unwrap());
 }
 
 #[test]
@@ -121,7 +130,7 @@ fn bad_invocations_exit_nonzero_with_usage() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
 
     // Unknown metric.
-    let csv = write_loans_csv();
+    let csv = write_loans_csv("bad_invocations_exit_nonzero_with_usage");
     let mut cmd = cli();
     cmd.arg("explain");
     common_args(&mut cmd, &csv);
@@ -157,4 +166,5 @@ fn bad_invocations_exit_nonzero_with_usage() {
     let out = cmd.output().unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("martian"));
+    let _ = std::fs::remove_dir_all(csv.parent().unwrap());
 }

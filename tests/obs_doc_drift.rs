@@ -172,6 +172,12 @@ fn emitted_names_match_the_documented_vocabulary() {
         }
     });
 
+    // Retrain work is counted in rows as well as subtrees: the battery's
+    // deletions retrain, so both counters must be live and consistent.
+    let subtrees = rec.counter_value("forest.nodes_retrained").unwrap_or(0);
+    let rows = rec.counter_value("forest.rows_retrained").unwrap_or(0);
+    assert!(subtrees > 0 && rows > 0, "retrain counters: {subtrees} subtrees, {rows} rows");
+
     let emitted = rec.inventory();
     rec.reset();
 
