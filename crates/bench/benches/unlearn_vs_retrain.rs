@@ -18,7 +18,7 @@ fn bench(h: &mut Harness) {
         let subset: Vec<u32> = (0..size as u32).collect();
 
         // `with_removed` with an empty closure isolates the cost of
-        // producing the counterfactual model (delete+rollback, or retrain).
+        // producing the counterfactual model (clone+delete, or retrain).
         let dare = DareRemoval::new(&forest, &data);
         g.bench_param("dare_unlearning", format!("{pct}pct"), || {
             dare.with_removed(&subset, |_| ())

@@ -128,16 +128,18 @@ fn scatter_for(
     if original <= f64::EPSILON {
         return (summarize(Vec::new()), 0.0);
     }
+    let unlearn = DareRemoval::new(&forest, &prepared.train);
     let dare = AttributionEstimator::new(
-        DareRemoval::new(&forest, &prepared.train),
+        &unlearn,
         metric,
         &prepared.test,
         prepared.group,
         original,
         None,
     );
+    let retraining = RetrainRemoval::new(&prepared.train, prepared.forest_cfg.clone());
     let retrain = AttributionEstimator::new(
-        RetrainRemoval::new(&prepared.train, prepared.forest_cfg.clone()),
+        &retraining,
         metric,
         &prepared.test,
         prepared.group,
@@ -145,8 +147,9 @@ fn scatter_for(
         None,
     );
     let alt_cfg = prepared.forest_cfg.clone().with_seed(prepared.forest_cfg.seed ^ 0xABCD);
+    let retraining_alt = RetrainRemoval::new(&prepared.train, alt_cfg);
     let retrain_alt = AttributionEstimator::new(
-        RetrainRemoval::new(&prepared.train, alt_cfg),
+        &retraining_alt,
         metric,
         &prepared.test,
         prepared.group,

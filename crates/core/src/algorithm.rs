@@ -16,7 +16,7 @@ use fume_tabular::{Dataset, GroupSpec};
 use crate::attribution::{AttributionEstimator, EvalMemo};
 use crate::checkpoint::{self, CheckpointError};
 use crate::config::FumeConfig;
-use crate::removal::{DareCloneRemoval, DareRemoval, RetrainRemoval, SharedAdapter};
+use crate::removal::{DareRemoval, RemovalMethod, RetrainRemoval};
 use crate::request::{ExplainRequest, ModelSpec, RemovalSpec};
 
 /// Errors from a FUME run.
@@ -230,8 +230,8 @@ impl Fume {
     ///   interrupted run resumed from the persisted copy reproduces this
     ///   run byte-identically;
     /// * the removal override selects how counterfactual models are
-    ///   obtained; [`RemovalSpec::Shared`] lends a caller-owned warm
-    ///   method and therefore requires a prebuilt model;
+    ///   obtained; [`RemovalSpec::Shared`] lends a caller-owned method
+    ///   and therefore requires a prebuilt model;
     /// * an attached [`EvalMemo`] is consulted before every unlearn-eval.
     ///
     /// Incompatible combinations (e.g. exact DaRE unlearning of an
@@ -242,7 +242,7 @@ impl Fume {
         }
         match (&request.removal, &request.model) {
             (RemovalSpec::Shared(shared), Some(model)) => self.run_inner(
-                SharedAdapter(*shared),
+                *shared,
                 model.as_classifier(),
                 request.train,
                 request.test,
@@ -253,14 +253,14 @@ impl Fume {
                 "a shared removal method requires a prebuilt model in the request".into(),
             )),
             (RemovalSpec::Retrain, Some(ModelSpec::Classifier(model))) => self.run_inner(
-                RetrainRemoval::new(request.train, self.config.forest.clone()),
+                &RetrainRemoval::new(request.train, self.config.forest.clone()),
                 *model,
                 request.train,
                 request.test,
                 request.group,
                 request.memo,
             ),
-            (RemovalSpec::Dare | RemovalSpec::DareClone, Some(ModelSpec::Classifier(_))) => {
+            (RemovalSpec::Dare, Some(ModelSpec::Classifier(_))) => {
                 Err(FumeError::InvalidRequest(
                     "exact DaRE unlearning needs a DaRE forest model; supply \
                      ModelSpec::Forest, or override the removal with Retrain/Shared"
@@ -327,15 +327,7 @@ impl Fume {
             (request.train, request.test, request.group, request.memo);
         let mut report = match request.removal {
             RemovalSpec::Dare => self.run_inner(
-                DareRemoval::new(forest, train),
-                forest,
-                train,
-                test,
-                group,
-                memo,
-            )?,
-            RemovalSpec::DareClone => self.run_inner(
-                DareCloneRemoval::new(forest, train),
+                &DareRemoval::new(forest, train),
                 forest,
                 train,
                 test,
@@ -343,7 +335,7 @@ impl Fume {
                 memo,
             )?,
             RemovalSpec::Retrain => self.run_inner(
-                RetrainRemoval::new(train, self.config.forest.clone()),
+                &RetrainRemoval::new(train, self.config.forest.clone()),
                 forest,
                 train,
                 test,
@@ -362,66 +354,11 @@ impl Fume {
         Ok(report)
     }
 
-    /// Trains a DaRE forest on `train` and explains its violation on
-    /// `test`. When resuming a checkpointed run, the persisted forest is
-    /// reloaded instead (training time reported as zero).
-    #[deprecated(note = "use `Fume::run` with an `ExplainRequest` (see docs/serving.md)")]
-    pub fn explain(
-        &self,
-        train: &Dataset,
-        test: &Dataset,
-        group: GroupSpec,
-    ) -> Result<FumeReport, FumeError> {
-        self.run(&ExplainRequest::new(train, test, group))
-    }
-
-    /// Explains an already-trained forest's violation on `test`. The
-    /// forest must have been trained on exactly the rows of `train`.
-    #[deprecated(
-        note = "use `Fume::run` with `ExplainRequest::with_model` (see docs/serving.md)"
-    )]
-    pub fn explain_model(
-        &self,
-        forest: &DareForest,
-        train: &Dataset,
-        test: &Dataset,
-        group: GroupSpec,
-    ) -> Result<FumeReport, FumeError> {
-        self.run(&ExplainRequest::new(train, test, group).with_model(forest))
-    }
-
-    /// Explains *any* deployed classifier's violation, given a
-    /// [`RemovalMethod`](crate::removal::RemovalMethod) that answers
-    /// "what would the model be without subset T" — the paper's §5.1
-    /// extensibility: swap the removal method, keep Algorithm 1.
-    ///
-    /// `model` must be the deployed model trained on exactly the rows of
-    /// `train`, and `removal.with_removed(T, f)` must hand `f` a model
-    /// emulating training on `train \ T`.
-    #[deprecated(
-        note = "use `Fume::run` with `ExplainRequest::with_classifier` and a \
-                Retrain/Shared `RemovalSpec` (see docs/serving.md)"
-    )]
-    pub fn explain_with<R, C>(
-        &self,
-        removal: R,
-        model: &C,
-        train: &Dataset,
-        test: &Dataset,
-        group: GroupSpec,
-    ) -> Result<FumeReport, FumeError>
-    where
-        R: crate::removal::RemovalMethod,
-        C: fume_tabular::Classifier + ?Sized,
-    {
-        self.run_inner(removal, model, train, test, group, None)
-    }
-
     /// The run body shared by every entrypoint: violation check, lattice
     /// search over the attribution estimator, ranking.
-    fn run_inner<R, C>(
+    fn run_inner<C>(
         &self,
-        removal: R,
+        removal: &dyn RemovalMethod,
         model: &C,
         train: &Dataset,
         test: &Dataset,
@@ -429,7 +366,6 @@ impl Fume {
         memo: Option<&dyn EvalMemo>,
     ) -> Result<FumeReport, FumeError>
     where
-        R: crate::removal::RemovalMethod,
         C: fume_tabular::Classifier + ?Sized,
     {
         if train.is_empty() || test.is_empty() {
@@ -512,8 +448,8 @@ impl Fume {
     /// boundary, and — when this instance was built by
     /// [`Fume::resume`] — reloaded, validated against the live
     /// configuration and data fingerprint, and continued. The search is
-    /// deterministic per level (the scratch pool restores the deployed
-    /// forest exactly after every unlearn-eval), so re-running the level
+    /// deterministic per level (every unlearn-eval deletes from its own
+    /// clone of the deployed forest), so re-running the level
     /// a crash interrupted yields the same ρ values the uninterrupted
     /// run would have computed.
     fn search_checkpointed<E: BatchEvaluator>(
@@ -578,8 +514,9 @@ impl Fume {
         if original_bias <= f64::EPSILON {
             return Err(FumeError::NoViolation { metric: self.config.metric });
         }
+        let unlearn = DareRemoval::new(forest, train);
         let dare = AttributionEstimator::new(
-            DareRemoval::new(forest, train),
+            &unlearn,
             self.config.metric,
             test,
             group,
@@ -587,8 +524,9 @@ impl Fume {
             self.config.n_jobs,
         );
         let rho_unlearn = dare.rho(subset_rows);
+        let retraining = RetrainRemoval::new(train, self.config.forest.clone());
         let retrain = AttributionEstimator::new(
-            crate::removal::RetrainRemoval::new(train, self.config.forest.clone()),
+            &retraining,
             self.config.metric,
             test,
             group,
@@ -777,26 +715,5 @@ mod tests {
         let (unlearned, report) = apply_removal(&forest, &train, &[0, 1, 2]);
         assert_eq!(unlearned.num_instances() + 3, forest.num_instances());
         assert!(report.leaves_updated > 0 || report.subtrees_retrained > 0);
-    }
-
-    /// Pins the deprecation contract: the legacy entrypoints are thin
-    /// wrappers over `Fume::run` and stay bit-identical to it.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_delegate_to_run() {
-        let (train, test, group) = setup();
-        let fume = Fume::new(config());
-        let via_run = fume.run(&ExplainRequest::new(&train, &test, group)).unwrap();
-        let via_explain = fume.explain(&train, &test, group).unwrap();
-        assert_eq!(via_run.top_k, via_explain.top_k);
-        assert_eq!(via_run.evaluated, via_explain.evaluated);
-
-        let forest = DareForest::fit(&train, fume.config().forest.clone());
-        let via_run_model = fume
-            .run(&ExplainRequest::new(&train, &test, group).with_model(&forest))
-            .unwrap();
-        let via_explain_model = fume.explain_model(&forest, &train, &test, group).unwrap();
-        assert_eq!(via_run_model.top_k, via_explain_model.top_k);
-        assert_eq!(via_run_model.evaluated, via_explain_model.evaluated);
     }
 }

@@ -48,8 +48,8 @@ pub trait EvalMemo: Sync {
 /// Estimates subset attributions through a [`RemovalMethod`]: FUME's
 /// Equation 2 with `R` = DaRE unlearning, or the ground truth with `R` =
 /// retraining.
-pub struct AttributionEstimator<'a, R: RemovalMethod> {
-    removal: R,
+pub struct AttributionEstimator<'a> {
+    removal: &'a dyn RemovalMethod,
     metric: FairnessMetric,
     test: &'a Dataset,
     group: GroupSpec,
@@ -60,15 +60,13 @@ pub struct AttributionEstimator<'a, R: RemovalMethod> {
     eval_nanos: Counter,
 }
 
-impl<'a, R: RemovalMethod> AttributionEstimator<'a, R> {
+impl<'a> AttributionEstimator<'a> {
     /// Builds an estimator around the deployed model's observed bias.
     /// `original_bias` must be positive (there must *be* a violation).
     ///
-    /// Calls [`RemovalMethod::warm`] with the resolved worker count, so
-    /// pool-backed methods clone their scratch state once here rather
-    /// than per evaluated subset.
+    /// Calls [`RemovalMethod::warm`] with the resolved worker count.
     pub fn new(
-        removal: R,
+        removal: &'a dyn RemovalMethod,
         metric: FairnessMetric,
         test: &'a Dataset,
         group: GroupSpec,
@@ -100,10 +98,7 @@ impl<'a, R: RemovalMethod> AttributionEstimator<'a, R> {
         self
     }
 
-    /// `ρ` for a single subset. Goes through
-    /// [`RemovalMethod::bias_removed`], so a removal method with an
-    /// incremental path (journal-driven dirty-row reuse) answers without
-    /// a full prediction pass.
+    /// `ρ` for a single subset, through [`RemovalMethod::bias_removed`].
     pub fn rho(&self, subset: &[u32]) -> f64 {
         let eval = BiasEval { metric: self.metric, test: self.test, group: self.group };
         let new_bias = self.removal.bias_removed(subset, &eval);
@@ -126,12 +121,12 @@ impl<'a, R: RemovalMethod> AttributionEstimator<'a, R> {
     }
 }
 
-impl<R: RemovalMethod> BatchEvaluator for AttributionEstimator<'_, R> {
+impl BatchEvaluator for AttributionEstimator<'_> {
     /// Evaluates a level's subsets in parallel. Items selecting identical
     /// row sets (syntactically different but semantically redundant
     /// predicates) are deduplicated first, so each distinct subset is
-    /// unlearned exactly once; workers then share pooled scratch models
-    /// through the removal method, so items are fully independent.
+    /// unlearned exactly once; each worker's removal builds its own
+    /// counterfactual model, so items are fully independent.
     fn evaluate(&self, items: &[EvalItem<'_>]) -> Vec<f64> {
         if items.is_empty() {
             return Vec::new();
@@ -159,7 +154,7 @@ impl<R: RemovalMethod> BatchEvaluator for AttributionEstimator<'_, R> {
         }
 
         // Consult the memo (if any) before paying for an unlearn-eval:
-        // hits reuse the cached ρ verbatim, only misses go to the pool.
+        // hits reuse the cached ρ verbatim, only misses are unlearned.
         let mut rho_unique: Vec<Option<f64>> = vec![None; unique.len()];
         let miss_idx: Vec<usize> = match self.memo {
             Some(memo) => {
@@ -262,6 +257,7 @@ mod tests {
     #[test]
     fn parallel_and_serial_evaluation_agree() {
         let (train, test, group, forest, bias) = setup();
+        let removal = DareRemoval::new(&forest, &train);
         assert!(bias > 0.0, "toy model must show a violation (bias {bias})");
         let preds: Vec<Predicate> = (0..3u16)
             .map(|v| Predicate::single(Literal::eq(1, v)))
@@ -274,7 +270,7 @@ mod tests {
             .collect();
 
         let serial = AttributionEstimator::new(
-            DareRemoval::new(&forest, &train),
+            &removal,
             FairnessMetric::StatisticalParity,
             &test,
             group,
@@ -282,7 +278,7 @@ mod tests {
             Some(1),
         );
         let parallel = AttributionEstimator::new(
-            DareRemoval::new(&forest, &train),
+            &removal,
             FairnessMetric::StatisticalParity,
             &test,
             group,
@@ -297,12 +293,11 @@ mod tests {
 
     #[test]
     fn identical_row_selections_cost_one_evaluation() {
-        use crate::removal::DareCloneRemoval;
         use std::sync::atomic::AtomicUsize;
 
         /// Counts how many removals actually run underneath dedup.
         struct CountingRemoval<'a> {
-            inner: DareCloneRemoval<'a>,
+            inner: DareRemoval<'a>,
             calls: &'a AtomicUsize,
         }
         impl RemovalMethod for CountingRemoval<'_> {
@@ -314,12 +309,16 @@ mod tests {
                 self.calls.fetch_add(1, Ordering::Relaxed);
                 self.inner.with_removed(subset, f)
             }
+            fn bias_removed(&self, subset: &[u32], eval: &BiasEval<'_>) -> f64 {
+                self.with_removed(subset, |model| eval.full(model))
+            }
             fn name(&self) -> &'static str {
                 "counting"
             }
         }
 
         let (train, test, group, forest, bias) = setup();
+        let removal = DareRemoval::new(&forest, &train);
         // Two syntactically different predicates with the same selection,
         // plus one genuinely distinct item.
         let p_a = Predicate::single(Literal::eq(1, 0));
@@ -336,8 +335,9 @@ mod tests {
             EvalItem { predicate: &p_c, rows: &rows_c },
         ];
         let calls = AtomicUsize::new(0);
+        let counting = CountingRemoval { inner: removal, calls: &calls };
         let est = AttributionEstimator::new(
-            CountingRemoval { inner: DareCloneRemoval::new(&forest, &train), calls: &calls },
+            &counting,
             FairnessMetric::StatisticalParity,
             &test,
             group,
@@ -370,6 +370,9 @@ mod tests {
                 self.calls.fetch_add(1, Ordering::Relaxed);
                 self.inner.with_removed(subset, f)
             }
+            fn bias_removed(&self, subset: &[u32], eval: &BiasEval<'_>) -> f64 {
+                self.with_removed(subset, |model| eval.full(model))
+            }
             fn name(&self) -> &'static str {
                 "counting"
             }
@@ -394,6 +397,7 @@ mod tests {
         }
 
         let (train, test, group, forest, bias) = setup();
+        let removal = DareRemoval::new(&forest, &train);
         let preds: Vec<Predicate> =
             (0..3u16).map(|v| Predicate::single(Literal::eq(1, v))).collect();
         let selections: Vec<Vec<u32>> = preds.iter().map(|p| p.select(&train)).collect();
@@ -404,7 +408,7 @@ mod tests {
             .collect();
 
         let cold = AttributionEstimator::new(
-            DareRemoval::new(&forest, &train),
+            &removal,
             FairnessMetric::StatisticalParity,
             &test,
             group,
@@ -415,9 +419,10 @@ mod tests {
 
         let memo = MapMemo::default();
         let calls = AtomicUsize::new(0);
+        let counting = CountingRemoval { inner: removal, calls: &calls };
         for (pass, expected_calls) in [("cold", 3usize), ("warm", 3)] {
             let est = AttributionEstimator::new(
-                CountingRemoval { inner: DareRemoval::new(&forest, &train), calls: &calls },
+                &counting,
                 FairnessMetric::StatisticalParity,
                 &test,
                 group,
@@ -438,8 +443,9 @@ mod tests {
     #[test]
     fn empty_batch_is_fine() {
         let (train, test, group, forest, bias) = setup();
+        let removal = DareRemoval::new(&forest, &train);
         let est = AttributionEstimator::new(
-            DareRemoval::new(&forest, &train),
+            &removal,
             FairnessMetric::StatisticalParity,
             &test,
             group,
@@ -453,8 +459,9 @@ mod tests {
     #[should_panic(expected = "no fairness violation")]
     fn zero_bias_rejected() {
         let (train, test, group, forest, _) = setup();
+        let removal = DareRemoval::new(&forest, &train);
         AttributionEstimator::new(
-            DareRemoval::new(&forest, &train),
+            &removal,
             FairnessMetric::StatisticalParity,
             &test,
             group,

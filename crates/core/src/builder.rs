@@ -92,9 +92,9 @@ impl FumeBuilder {
         self
     }
 
-    /// Worker threads for parallel subset evaluation (each worker leases
-    /// one scratch forest from the unlearn-eval pool). Defaults to all
-    /// available cores.
+    /// Worker threads for parallel subset evaluation (each eval unlearns
+    /// from its own clone of the forest). Defaults to all available
+    /// cores.
     pub fn n_jobs(mut self, jobs: usize) -> Self {
         self.config.n_jobs = Some(jobs);
         self

@@ -17,10 +17,9 @@
 //! never a truncated one.
 //!
 //! **Determinism.** The search itself is deterministic given the forest:
-//! the scratch-pool evaluator restores the deployed forest exactly
-//! (including RNG streams) after every unlearn-eval, so re-running a
-//! level reproduces its ρ values bit-identically and no evaluator state
-//! needs checkpointing. The forest, however, inherits `persist.rs`'s
+//! every unlearn-eval deletes from its own clone of the deployed forest
+//! (RNG streams included), so re-running a level reproduces its ρ values
+//! bit-identically and no evaluator state needs checkpointing. The forest, however, inherits `persist.rs`'s
 //! RNG-stream caveat: a *reloaded* forest reseeds per-tree RNGs
 //! deterministically rather than preserving the opaque in-memory stream
 //! position. Checkpointed runs therefore normalize the forest through a

@@ -43,8 +43,9 @@ pub fn rank_instances(
     if original <= f64::EPSILON {
         return Vec::new();
     }
+    let removal = DareRemoval::new(forest, train);
     let estimator = AttributionEstimator::new(
-        DareRemoval::new(forest, train),
+        &removal,
         metric,
         test,
         group,

@@ -42,10 +42,7 @@ pub use builder::FumeBuilder;
 pub use config::FumeConfig;
 pub use instance_attribution::{overlap_with_subset, rank_instances, InstanceAttribution};
 pub use path_mining::{mine_unfair_paths, MinedPattern};
-pub use removal::{
-    BiasEval, DareCloneRemoval, DareRemoval, GbdtRetrainRemoval, RemovalDyn, RemovalMethod,
-    RetrainRemoval, SharedAdapter,
-};
+pub use removal::{BiasEval, DareRemoval, GbdtRetrainRemoval, RemovalMethod, RetrainRemoval};
 pub use request::{ExplainRequest, ModelSpec, RemovalSpec};
 pub use slice_finder::{find_slices, Slice};
 
@@ -65,8 +62,7 @@ pub mod prelude {
     pub use crate::builder::FumeBuilder;
     pub use crate::config::FumeConfig;
     pub use crate::removal::{
-        BiasEval, DareCloneRemoval, DareRemoval, GbdtRetrainRemoval, RemovalDyn,
-        RemovalMethod, RetrainRemoval,
+        BiasEval, DareRemoval, GbdtRetrainRemoval, RemovalMethod, RetrainRemoval,
     };
     pub use crate::request::{ExplainRequest, ModelSpec, RemovalSpec};
     pub use fume_fairness::FairnessMetric;

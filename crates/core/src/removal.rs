@@ -2,36 +2,25 @@
 //! trained without subset T" (paper §3).
 //!
 //! The trait is *scoped*: [`RemovalMethod::with_removed`] hands the
-//! counterfactual model to a closure instead of returning it, so
-//! implementations can reuse long-lived scratch state (lease → delete →
-//! measure → roll back) without callers being able to retain or mutate
-//! the leased model.
+//! counterfactual model to a closure instead of returning it, so callers
+//! cannot retain or mutate it, and the deployed model stays untouched.
 //!
 //! Implementations:
-//! * [`DareRemoval`] — FUME's fast path: each worker leases a scratch
-//!   forest from a pool (cloned once, not once per subset), journals the
-//!   deletion, measures, then rolls the scratch back byte-identically;
-//! * [`DareCloneRemoval`] — the pre-pool shape: clone the deployed
-//!   forest per call and batch-delete (kept as the bench baseline);
+//! * [`DareRemoval`] — FUME's path: clone the deployed DaRE forest,
+//!   exactly unlearn the subset from the clone, measure;
 //! * [`RetrainRemoval`] — the naive gold standard: fit a fresh forest on
 //!   `D \ T` from scratch (ground truth in the paper's Figure 3 and the
 //!   efficiency baseline);
 //! * [`GbdtRetrainRemoval`] — model-agnostic retraining for GBDTs.
 
-use std::sync::Arc;
-
-use fume_obs::sync::{TrackedGuard, TrackedMutex};
-
-use fume_fairness::{FairnessMetric, GroupConfusion};
-use fume_forest::{DareConfig, DareForest, Gbdt, GbdtConfig, PredictPlan, RoutingIndex};
-use fume_tabular::{float, Classifier, Dataset, GroupSpec};
+use fume_fairness::FairnessMetric;
+use fume_forest::{DareConfig, DareForest, Gbdt, GbdtConfig};
+use fume_tabular::{Classifier, Dataset, GroupSpec};
 
 /// One bias measurement, fully specified: which metric, over which
 /// held-out rows, against which sensitive-group split. FUME's hot loop
-/// only ever asks removal methods this one question, so bundling it lets
-/// [`RemovalMethod::bias_removed`] answer *incrementally* (re-predict
-/// only journal-dirty rows, patch the confusion tally) while the
-/// closure-based [`RemovalMethod::with_removed`] stays fully general.
+/// only ever asks removal methods this one question
+/// ([`RemovalMethod::bias_removed`]).
 #[derive(Clone, Copy)]
 pub struct BiasEval<'a> {
     /// The fairness metric to measure.
@@ -43,8 +32,8 @@ pub struct BiasEval<'a> {
 }
 
 impl BiasEval<'_> {
-    /// `|F(h, test)|` computed the reference way: a full prediction pass
-    /// over every test row and a fresh confusion tally.
+    /// `|F(h, test)|`: a full prediction pass over every test row and a
+    /// fresh confusion tally.
     pub fn full(&self, model: &dyn Classifier) -> f64 {
         self.metric.bias(model, self.test, self.group)
     }
@@ -52,31 +41,30 @@ impl BiasEval<'_> {
 
 /// Produces a model equivalent to training on `D \ subset` and lends it
 /// to a closure.
+///
+/// The trait is object-safe: callers that hold a removal method behind
+/// `&dyn RemovalMethod` (an [`ExplainRequest`](crate::ExplainRequest)
+/// carrying a custom method, see
+/// [`RemovalSpec::Shared`](crate::RemovalSpec::Shared)) reach
+/// [`Self::bias_removed`], [`Self::warm`] and [`Self::name`]; the generic
+/// [`Self::with_removed`] needs the concrete type.
 pub trait RemovalMethod: Sync {
     /// Runs `f` against the model with `subset` (training-row ids)
     /// removed, returning whatever `f` computes. The deployed model must
-    /// be observably unchanged when this returns; the counterfactual
-    /// model only lives for the duration of `f`, which lets
-    /// implementations lease reusable scratch state instead of
-    /// materialising a fresh model per call.
-    fn with_removed<T>(&self, subset: &[u32], f: impl FnOnce(&dyn Classifier) -> T) -> T;
+    /// be observably unchanged when this returns.
+    fn with_removed<T>(&self, subset: &[u32], f: impl FnOnce(&dyn Classifier) -> T) -> T
+    where
+        Self: Sized;
 
-    /// The bias of the model with `subset` removed. Semantically this is
-    /// exactly `self.with_removed(subset, |m| eval.full(m))` — and that
-    /// is the default — but an implementation may override it with an
-    /// incremental path (e.g. [`DareRemoval`]'s journal-driven dirty-row
-    /// reuse) **only if** the override is bitwise identical to the full
-    /// recompute on every input; `FUME_DEEPCHECK=1` cross-checks the
-    /// claim per call in debug builds.
-    fn bias_removed(&self, subset: &[u32], eval: &BiasEval<'_>) -> f64 {
-        self.with_removed(subset, |model| eval.full(model))
-    }
+    /// The bias of the model with `subset` removed:
+    /// `self.with_removed(subset, |m| eval.full(m))`, which is what every
+    /// implementation in this crate returns.
+    fn bias_removed(&self, subset: &[u32], eval: &BiasEval<'_>) -> f64;
 
     /// One-time warm-up before a batch evaluation fans out over
-    /// `workers` threads — e.g. pre-populating a scratch pool so no
-    /// worker pays a cold clone mid-loop. Takes `&self` (interior
-    /// mutability) so a long-lived removal method can be warmed once and
-    /// then shared across concurrent runs. The default does nothing.
+    /// `workers` threads. Takes `&self` so a long-lived removal method
+    /// can be warmed once and then shared across concurrent runs. The
+    /// default does nothing.
     fn warm(&self, workers: usize) {
         let _ = workers;
     }
@@ -85,400 +73,37 @@ pub trait RemovalMethod: Sync {
     fn name(&self) -> &'static str;
 }
 
-/// Object-safe mirror of [`RemovalMethod`], for callers that hold a
-/// removal method behind `&dyn` — e.g. a long-lived serving engine that
-/// shares one warm [`DareRemoval`] pool across concurrent requests, or
-/// an [`ExplainRequest`](crate::ExplainRequest) carrying a custom
-/// method. `with_removed` is generic over the closure's return type and
-/// therefore not dyn-compatible; this trait narrows the closure to
-/// `&mut dyn FnMut` with no return value, and a blanket impl bridges
-/// every `RemovalMethod` automatically — implement only the generic
-/// trait, never this one.
-pub trait RemovalDyn: Sync {
-    /// Type-erased [`RemovalMethod::with_removed`]: runs `f` against the
-    /// model with `subset` removed. `f` is invoked exactly once.
-    fn with_removed_dyn(&self, subset: &[u32], f: &mut dyn FnMut(&dyn Classifier));
-
-    /// Type-erased [`RemovalMethod::bias_removed`] — already first-order,
-    /// mirrored so a shared method keeps its incremental fast path across
-    /// the `&dyn` boundary.
-    fn bias_removed_dyn(&self, subset: &[u32], eval: &BiasEval<'_>) -> f64;
-
-    /// Type-erased [`RemovalMethod::warm`].
-    fn warm_dyn(&self, workers: usize);
-
-    /// Type-erased [`RemovalMethod::name`].
-    fn name_dyn(&self) -> &'static str;
-}
-
-impl<R: RemovalMethod> RemovalDyn for R {
-    fn with_removed_dyn(&self, subset: &[u32], f: &mut dyn FnMut(&dyn Classifier)) {
-        self.with_removed(subset, |model| f(model));
-    }
-
-    fn bias_removed_dyn(&self, subset: &[u32], eval: &BiasEval<'_>) -> f64 {
-        self.bias_removed(subset, eval)
-    }
-
-    fn warm_dyn(&self, workers: usize) {
-        self.warm(workers);
-    }
-
-    fn name_dyn(&self) -> &'static str {
-        self.name()
-    }
-}
-
-/// Adapts a shared `&dyn RemovalDyn` back into a [`RemovalMethod`], so
-/// one long-lived removal method (e.g. a serving engine's warm
-/// [`DareRemoval`] pool) can be lent to many concurrent runs. The
-/// generic closure is threaded through the dyn boundary by stashing its
-/// result in an `Option`.
-#[derive(Clone, Copy)]
-pub struct SharedAdapter<'a>(pub &'a dyn RemovalDyn);
-
-impl RemovalMethod for SharedAdapter<'_> {
-    fn with_removed<T>(&self, subset: &[u32], f: impl FnOnce(&dyn Classifier) -> T) -> T {
-        let mut f = Some(f);
-        let mut out = None;
-        self.0.with_removed_dyn(subset, &mut |model| {
-            if let Some(f) = f.take() {
-                out = Some(f(model));
-            }
-        });
-        // fume-lint: allow(F001) -- RemovalDyn's contract is that the closure runs exactly once, and the blanket impl (the only intended implementor) guarantees it
-        out.expect("RemovalDyn::with_removed_dyn must invoke the closure exactly once")
-    }
-
-    fn bias_removed(&self, subset: &[u32], eval: &BiasEval<'_>) -> f64 {
-        // Forward instead of taking the generic default, so a shared
-        // warm pool keeps its incremental path (serve's case).
-        self.0.bias_removed_dyn(subset, eval)
-    }
-
-    fn warm(&self, workers: usize) {
-        self.0.warm_dyn(workers);
-    }
-
-    fn name(&self) -> &'static str {
-        self.0.name_dyn()
-    }
-}
-
-/// Machine unlearning via DaRE with a scratch-forest pool: workers lease
-/// a long-lived scratch forest, journal-delete the subset into it,
-/// measure, and roll back — zero forest clones in steady state.
-#[derive(Debug)]
+/// Machine unlearning via DaRE: each call clones the deployed forest,
+/// exactly unlearns the subset from the clone, and lends the clone out.
+#[derive(Debug, Clone, Copy)]
 pub struct DareRemoval<'a> {
     forest: &'a DareForest,
     train: &'a Dataset,
-    pool: TrackedMutex<Vec<DareForest>>,
-    /// Lazily built incremental-evaluation state for the one
-    /// `(test, group)` pair the current run measures; replaced if a
-    /// different evaluation shows up. Behind its own lock so concurrent
-    /// workers share a single build.
-    incr: TrackedMutex<Option<Arc<IncrState>>>,
-}
-
-/// Poison recovery for the scratch pool — see [`DareRemoval::pool_guard`].
-fn reset_pool(pool: &mut Vec<DareForest>) {
-    fume_obs::counter!("fume.scratch.poison_recoveries", 1);
-    pool.clear();
-}
-
-/// Poison recovery for the incremental-eval state: drop it and let the
-/// next call rebuild from the deployed forest (the state is a pure cache,
-/// so losing it costs one rebuild, never correctness).
-fn reset_incr(state: &mut Option<Arc<IncrState>>) {
-    *state = None;
-}
-
-/// Everything [`DareRemoval::bias_removed`] needs to answer a bias query
-/// by re-predicting only journal-dirty rows: the routing index over the
-/// deployed forest, the deployed model's hard predictions, the confusion
-/// tally they produce, and the group mask — all for one fixed
-/// `(test, group)` evaluation.
-///
-/// Scratch forests are byte-identical to the deployed forest between
-/// rollbacks (debug-asserted per eval), so one index built against the
-/// deployed forest names dirty rows for every lease.
-#[derive(Debug)]
-struct IncrState {
-    /// Identity of the `test` dataset this state was built for. Stored as
-    /// an address (datasets are borrowed for the estimator's lifetime and
-    /// never move mid-run); `n_rows` and `group` back the check, and
-    /// `FUME_DEEPCHECK=1` re-derives every answer from scratch.
-    test_ptr: usize,
-    n_rows: usize,
-    group: GroupSpec,
-    index: RoutingIndex,
-    /// The deployed model's hard prediction per test row.
-    base_preds: Vec<bool>,
-    /// The tally of `base_preds` — the starting point every eval patches.
-    base_confusion: GroupConfusion,
-    /// `test.privileged_mask(group)`, precomputed.
-    privileged: Vec<bool>,
-}
-
-impl IncrState {
-    fn build(forest: &DareForest, eval: &BiasEval<'_>) -> Self {
-        // One plan compile feeds both full passes over the test set: the
-        // routing-index build and the deployed model's base predictions.
-        // The plan kernel is bitwise identical to the pointer walk, so
-        // the cached contributions and predictions are exactly what the
-        // reference path would produce.
-        let plan = PredictPlan::compile(forest);
-        let index = RoutingIndex::build_with_plan(&plan, eval.test);
-        let base_preds = plan.predict(eval.test);
-        let privileged = eval.test.privileged_mask(eval.group);
-        let base_confusion =
-            GroupConfusion::tally(&base_preds, eval.test.labels(), &privileged);
-        Self {
-            test_ptr: eval.test as *const Dataset as usize,
-            n_rows: eval.test.num_rows(),
-            group: eval.group,
-            index,
-            base_preds,
-            base_confusion,
-            privileged,
-        }
-    }
-
-    fn matches(&self, eval: &BiasEval<'_>) -> bool {
-        self.test_ptr == eval.test as *const Dataset as usize
-            && self.n_rows == eval.test.num_rows()
-            && self.group == eval.group
-    }
 }
 
 impl<'a> DareRemoval<'a> {
-    /// Wraps a trained forest and its training data. The scratch pool
-    /// starts empty and fills on first use (or via
-    /// [`RemovalMethod::warm`]).
-    pub fn new(forest: &'a DareForest, train: &'a Dataset) -> Self {
-        Self {
-            forest,
-            train,
-            pool: TrackedMutex::with_recovery("core.scratch_pool", Vec::new(), reset_pool),
-            incr: TrackedMutex::with_recovery("core.incr_state", None, reset_incr),
-        }
-    }
-
-    /// Number of scratch forests currently resting in the pool.
-    pub fn pooled_scratch(&self) -> usize {
-        self.pool_guard().len()
-    }
-
-    /// Locks the pool, recovering explicitly from poisoning.
-    ///
-    /// The lock is only held for a push/pop, but a worker can still die
-    /// between leasing and releasing — its scratch forest is then lost
-    /// mid-journal and never returned. The forests *resting* in the pool
-    /// were each released clean (rollback verified by the debug
-    /// assertion in [`RemovalMethod::with_removed`]), yet distinguishing
-    /// "poisoned while resting" from "poisoned mid-push" is not worth
-    /// reasoning about: on poison [`reset_pool`] clears the pool and
-    /// lets subsequent leases re-clone cold, trading a few clones for
-    /// certainty.
-    fn pool_guard(&self) -> TrackedGuard<'_, Vec<DareForest>> {
-        self.pool.lock()
-    }
-
-    fn lease(&self) -> DareForest {
-        fume_obs::counter!("fume.scratch.leases", 1);
-        match self.pool_guard().pop() {
-            Some(scratch) => scratch,
-            None => {
-                fume_obs::counter!("fume.scratch.cold_clones", 1);
-                self.forest.clone()
-            }
-        }
-    }
-
-    fn release(&self, scratch: DareForest) {
-        let mut pool = self.pool_guard();
-        // Crash site *while the pool lock is held*: lets the resumability
-        // suite prove the poison-recovery policy (reset_pool) works.
-        fume_obs::fault::fault_point("scratch-pool-release");
-        pool.push(scratch);
-    }
-
-    /// Builds the incremental-evaluation state for `eval` ahead of the
-    /// first bias query, so no request pays the cold routing-index +
-    /// base-prediction build mid-loop (a serving engine calls this right
-    /// after [`RemovalMethod::warm`]). A no-op when the state cannot
-    /// exist (empty forest or test set) or is already built for this
-    /// evaluation.
-    pub fn prewarm_incremental(&self, eval: &BiasEval<'_>) {
-        let _ = self.incr_state(eval);
-    }
-
-    /// The incremental-eval state for `eval`, building (or replacing) it
-    /// under the lock so concurrent workers pay for one build. `None`
-    /// when no incremental state can exist — an empty forest or an empty
-    /// test set, where the full path is the only correct answer.
-    fn incr_state(&self, eval: &BiasEval<'_>) -> Option<Arc<IncrState>> {
-        if self.forest.trees().is_empty() || eval.test.is_empty() {
-            return None;
-        }
-        let mut guard = self.incr.lock();
-        match guard.as_ref() {
-            Some(state) if state.matches(eval) => Some(Arc::clone(state)),
-            _ => {
-                let built = Arc::new(IncrState::build(self.forest, eval));
-                *guard = Some(Arc::clone(&built));
-                Some(built)
-            }
-        }
-    }
-}
-
-impl RemovalMethod for DareRemoval<'_> {
-    fn with_removed<T>(&self, subset: &[u32], f: impl FnOnce(&dyn Classifier) -> T) -> T {
-        let mut scratch = self.lease();
-        // Lattice selections come from the training universe the forest
-        // was fitted on, so the per-call presence scan is skipped.
-        let journal = scratch.delete_journaled(subset, self.train);
-        fume_obs::counter!("fume.journal.bytes", journal.approx_bytes());
-        let out = f(&scratch);
-        let restored = scratch.rollback(journal);
-        fume_obs::counter!("fume.rollback.nodes_restored", restored);
-        debug_assert_eq!(&scratch, self.forest, "rollback must restore the snapshot");
-        fume_forest::deepcheck::check_forest(&scratch, self.train, "rollback");
-        self.release(scratch);
-        out
-    }
-
-    /// The incremental fast path: the journal from `delete_journaled`
-    /// names every leaf and subtree the deletion touched; the routing
-    /// index maps those edits back to exactly the `(tree, row)`
-    /// contributions that changed, with their replacement values (one
-    /// leaf lookup per edited leaf, one single-tree walk per rebuilt-cone
-    /// row, bit-identical results filtered out at the source). Every
-    /// clean contribution is reused from the cache, which a fresh walk
-    /// would reproduce bit-for-bit. Each dirty row's ensemble vote is
-    /// then re-summed in tree order and divided once, the exact float
-    /// sequence of [`DareForest::predict_row`], and the confusion tally
-    /// is patched via integer [`GroupConfusion::reclassify`] deltas. The
-    /// resulting ρ is bitwise identical to a full recompute —
-    /// `FUME_DEEPCHECK=1` re-derives it from scratch per call in debug
-    /// builds to prove it.
-    fn bias_removed(&self, subset: &[u32], eval: &BiasEval<'_>) -> f64 {
-        let Some(state) = self.incr_state(eval) else {
-            // Empty forest or empty test set: nothing to index, fall back
-            // loudly to the reference path.
-            fume_obs::counter!("fume.incr.full_fallbacks", 1);
-            return self.with_removed(subset, |model| eval.full(model));
-        };
-        let mut scratch = self.lease();
-        let journal = scratch.delete_journaled(subset, self.train);
-        fume_obs::counter!("fume.journal.bytes", journal.approx_bytes());
-
-        let dirty = state.index.dirty_rows(&journal, &scratch, eval.test);
-        let reused = state.n_rows - dirty.rows.len();
-        fume_obs::counter!("fume.incr.dirty_rows", dirty.rows.len());
-        fume_obs::counter!("fume.incr.reused_rows", reused);
-        fume_obs::histogram!("fume.incr.reuse_ratio_pct", reused * 100 / state.n_rows);
-
-        // Re-sum each dirty row's ensemble vote in tree order — the exact
-        // predict_row float sequence. Trees outer, rows inner: every
-        // row's accumulator takes tree t's term before tree t+1's, each
-        // tree's cached contributions stream from one contiguous slice,
-        // and the tree's changed contributions merge in by sorted row id.
-        let n_trees = state.index.num_trees();
-        let mut acc = vec![0.0f64; dirty.rows.len()];
-        for t in 0..n_trees {
-            let pairs = &dirty.fresh[t];
-            let cached = state.index.tree_probas(t);
-            let mut pi = 0;
-            for (i, &row) in dirty.rows.iter().enumerate() {
-                acc[i] += if pi < pairs.len() && pairs[pi].0 == row {
-                    let v = pairs[pi].1;
-                    pi += 1;
-                    v
-                } else {
-                    cached[row as usize]
-                };
-            }
-            debug_assert_eq!(pi, pairs.len(), "every fresh contribution must be consumed");
-        }
-
-        let k = n_trees as f64;
-        let labels = eval.test.labels();
-        let mut confusion = state.base_confusion;
-        for (i, &row) in dirty.rows.iter().enumerate() {
-            let row = row as usize;
-            let new_pred = float::positive_class(acc[i] / k);
-            confusion.reclassify(
-                state.privileged[row],
-                labels[row],
-                state.base_preds[row],
-                new_pred,
-            );
-        }
-        // The incremental path answers the same question one
-        // `metric.evaluate` call would, so it pays the same counter.
-        fume_obs::counter!("fairness.metric_evals", 1);
-        let bias = eval.metric.from_confusion(&confusion).abs();
-
-        if fume_forest::deepcheck::enabled() {
-            // Cross-check against the reference path *before* rollback,
-            // while the scratch forest still is the counterfactual model.
-            let full = eval.full(&scratch);
-            assert!(
-                float::bit_eq(bias, full),
-                "FUME_DEEPCHECK: incremental bias {bias:.17} != full recompute \
-                 {full:.17} for a {}-row subset ({} dirty test rows)",
-                subset.len(),
-                dirty.rows.len(),
-            );
-        }
-
-        let restored = scratch.rollback(journal);
-        fume_obs::counter!("fume.rollback.nodes_restored", restored);
-        debug_assert_eq!(&scratch, self.forest, "rollback must restore the snapshot");
-        fume_forest::deepcheck::check_forest(&scratch, self.train, "rollback");
-        self.release(scratch);
-        bias
-    }
-
-    fn warm(&self, workers: usize) {
-        let mut pool = self.pool_guard();
-        while pool.len() < workers.max(1) {
-            pool.push(self.forest.clone());
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "DaRE unlearning"
-    }
-}
-
-/// The pre-pool DaRE path: clone the deployed forest per call and
-/// batch-delete the subset. Kept as the baseline the pooled path is
-/// benchmarked (and byte-identity-tested) against.
-#[derive(Debug, Clone, Copy)]
-pub struct DareCloneRemoval<'a> {
-    forest: &'a DareForest,
-    train: &'a Dataset,
-}
-
-impl<'a> DareCloneRemoval<'a> {
     /// Wraps a trained forest and its training data.
     pub fn new(forest: &'a DareForest, train: &'a Dataset) -> Self {
         Self { forest, train }
     }
 }
 
-impl RemovalMethod for DareCloneRemoval<'_> {
+impl RemovalMethod for DareRemoval<'_> {
     fn with_removed<T>(&self, subset: &[u32], f: impl FnOnce(&dyn Classifier) -> T) -> T {
-        let mut clone = self.forest.clone();
-        clone.delete_unchecked(subset, self.train);
-        f(&clone)
+        let mut model = self.forest.clone();
+        // Lattice selections come from the training universe the forest
+        // was fitted on, so the per-call presence scan is skipped.
+        model.delete_unchecked(subset, self.train);
+        fume_forest::deepcheck::check_forest(&model, self.train, "delete_unchecked");
+        f(&model)
+    }
+
+    fn bias_removed(&self, subset: &[u32], eval: &BiasEval<'_>) -> f64 {
+        self.with_removed(subset, |model| eval.full(model))
     }
 
     fn name(&self) -> &'static str {
-        "DaRE unlearning (clone per eval)"
+        "DaRE unlearning"
     }
 }
 
@@ -514,6 +139,10 @@ impl RemovalMethod for RetrainRemoval<'_> {
         f(&model)
     }
 
+    fn bias_removed(&self, subset: &[u32], eval: &BiasEval<'_>) -> f64 {
+        self.with_removed(subset, |model| eval.full(model))
+    }
+
     fn name(&self) -> &'static str {
         "retraining from scratch"
     }
@@ -546,6 +175,10 @@ impl RemovalMethod for GbdtRetrainRemoval<'_> {
         f(&model)
     }
 
+    fn bias_removed(&self, subset: &[u32], eval: &BiasEval<'_>) -> f64 {
+        self.with_removed(subset, |model| eval.full(model))
+    }
+
     fn name(&self) -> &'static str {
         "GBDT retraining"
     }
@@ -568,36 +201,23 @@ mod tests {
         });
         assert_eq!(forest, snapshot, "deployed model must be untouched");
         assert_eq!(n, 5);
-        // The scratch forest was rolled back and returned to the pool.
-        assert_eq!(removal.pooled_scratch(), 1);
     }
 
     #[test]
-    fn scratch_pool_reuses_forests_across_calls() {
-        let (train, _) = planted_toy().generate_scaled(0.15, 65).unwrap();
-        let forest = DareForest::fit(&train, DareConfig::small(65).with_trees(5));
-        let removal = DareRemoval::new(&forest, &train);
-        removal.warm(2);
-        assert_eq!(removal.pooled_scratch(), 2);
-        for round in 0..4 {
-            removal.with_removed(&[round, round + 10], |_| ());
-            assert_eq!(removal.pooled_scratch(), 2, "pool must not grow or shrink");
-        }
-    }
-
-    #[test]
-    fn pooled_and_clone_paths_agree_exactly() {
-        use fume_fairness::FairnessMetric;
+    fn dare_removal_matches_clone_then_delete() {
         let (data, group) = planted_toy().generate_scaled(0.3, 66).unwrap();
         let (train, test) = fume_tabular::split::train_test_split(&data, 0.3, 66).unwrap();
         let forest = DareForest::fit(&train, DareConfig::small(66));
-        let pooled = DareRemoval::new(&forest, &train);
-        let cloning = DareCloneRemoval::new(&forest, &train);
-        let metric = FairnessMetric::StatisticalParity;
+        let removal = DareRemoval::new(&forest, &train);
+        let eval = BiasEval { metric: FairnessMetric::StatisticalParity, test: &test, group };
         for subset in [vec![0u32, 3, 9], (0..30).collect::<Vec<u32>>()] {
-            let a = pooled.with_removed(&subset, |m| metric.bias(m, &test, group));
-            let b = cloning.with_removed(&subset, |m| metric.bias(m, &test, group));
-            assert_eq!(a.to_bits(), b.to_bits(), "pool and clone paths must agree");
+            let mut reference = forest.clone();
+            reference.delete(&subset, &train).unwrap();
+            let want = eval.full(&reference);
+            let got = removal.bias_removed(&subset, &eval);
+            assert_eq!(got.to_bits(), want.to_bits(), "|T| = {}", subset.len());
+            let via_dyn = (&removal as &dyn RemovalMethod).bias_removed(&subset, &eval);
+            assert_eq!(via_dyn.to_bits(), want.to_bits(), "dispatch through &dyn");
         }
     }
 
@@ -613,7 +233,6 @@ mod tests {
 
     #[test]
     fn both_methods_agree_closely_on_small_deletions() {
-        use fume_fairness::FairnessMetric;
         let (data, group) = planted_toy().generate_scaled(0.5, 63).unwrap();
         let (train, test) =
             fume_tabular::split::train_test_split(&data, 0.3, 63).unwrap();
@@ -632,33 +251,10 @@ mod tests {
     }
 
     #[test]
-    fn dyn_bridge_matches_generic_path() {
-        use fume_fairness::FairnessMetric;
-        let (data, group) = planted_toy().generate_scaled(0.3, 67).unwrap();
-        let (train, test) = fume_tabular::split::train_test_split(&data, 0.3, 67).unwrap();
-        let forest = DareForest::fit(&train, DareConfig::small(67));
-        let removal = DareRemoval::new(&forest, &train);
-        let erased: &dyn RemovalDyn = &removal;
-        let metric = FairnessMetric::StatisticalParity;
-        let subset = [0u32, 3, 9];
-        let direct = removal.with_removed(&subset, |m| metric.bias(m, &test, group));
-        let mut via_dyn = f64::NAN;
-        erased.with_removed_dyn(&subset, &mut |m| via_dyn = metric.bias(m, &test, group));
-        assert_eq!(direct.to_bits(), via_dyn.to_bits());
-        erased.warm_dyn(3);
-        assert_eq!(removal.pooled_scratch(), 3);
-        assert_eq!(erased.name_dyn(), "DaRE unlearning");
-    }
-
-    #[test]
     fn names() {
         let (train, _) = planted_toy().generate_scaled(0.1, 64).unwrap();
         let forest = DareForest::fit(&train, DareConfig::small(64).with_trees(2));
         assert_eq!(DareRemoval::new(&forest, &train).name(), "DaRE unlearning");
-        assert_eq!(
-            DareCloneRemoval::new(&forest, &train).name(),
-            "DaRE unlearning (clone per eval)"
-        );
         assert_eq!(
             RetrainRemoval::new(&train, DareConfig::small(64)).name(),
             "retraining from scratch"

@@ -1,20 +1,16 @@
 //! The unified request type every FUME run funnels through.
 //!
-//! Historically the public surface scattered a run across three
-//! overlapping entrypoints (`explain`, `explain_model`, `explain_with`),
-//! which meant the CLI, the library examples, and any long-lived serving
-//! process each wired the same inputs differently. An
-//! [`ExplainRequest`] bundles everything one run needs — the data split,
-//! the protected group, an optional prebuilt model, an optional removal
-//! override, and an optional cross-request eval memo — and
+//! An [`ExplainRequest`] bundles everything one run needs — the data
+//! split, the protected group, an optional prebuilt model, an optional
+//! removal override, and an optional cross-request eval memo — and
 //! [`Fume::run`](crate::Fume::run) is the single code path that executes
-//! it. The old entrypoints survive as thin deprecated wrappers.
+//! it, for the library, the CLI and `fume-serve` alike.
 
 use fume_forest::DareForest;
 use fume_tabular::{Classifier, Dataset, GroupSpec};
 
 use crate::attribution::EvalMemo;
-use crate::removal::RemovalDyn;
+use crate::removal::RemovalMethod;
 
 /// The deployed model a request explains, when the caller already has
 /// one (otherwise [`Fume::run`](crate::Fume::run) trains a DaRE forest
@@ -54,31 +50,25 @@ impl std::fmt::Debug for ModelSpec<'_> {
 /// the removal method `R(A(D), D, T)` of paper §3.
 #[derive(Clone, Copy, Default)]
 pub enum RemovalSpec<'a> {
-    /// Exact DaRE unlearning through the pooled scratch-forest path
+    /// Exact DaRE unlearning of a clone of the deployed forest
     /// ([`DareRemoval`](crate::DareRemoval)) — FUME's default.
     #[default]
     Dare,
-    /// DaRE unlearning cloning the deployed forest per eval
-    /// ([`DareCloneRemoval`](crate::DareCloneRemoval)); the benchmark
-    /// baseline, bit-identical to [`RemovalSpec::Dare`].
-    DareClone,
     /// Retrain from scratch on the complement
     /// ([`RetrainRemoval`](crate::RetrainRemoval)) — the ground truth.
     Retrain,
-    /// A caller-owned removal method shared across requests — e.g.
-    /// `fume-serve`'s long-lived warm pool, or a custom
-    /// [`RemovalMethod`](crate::RemovalMethod) impl reached through the
-    /// [`RemovalDyn`] bridge. Requires a prebuilt model in the request.
-    Shared(&'a dyn RemovalDyn),
+    /// A caller-owned removal method, e.g. a custom [`RemovalMethod`]
+    /// impl or one shared across requests. Requires a prebuilt model in
+    /// the request.
+    Shared(&'a dyn RemovalMethod),
 }
 
 impl std::fmt::Debug for RemovalSpec<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::Dare => f.write_str("RemovalSpec::Dare"),
-            Self::DareClone => f.write_str("RemovalSpec::DareClone"),
             Self::Retrain => f.write_str("RemovalSpec::Retrain"),
-            Self::Shared(r) => write!(f, "RemovalSpec::Shared({})", r.name_dyn()),
+            Self::Shared(r) => write!(f, "RemovalSpec::Shared({})", r.name()),
         }
     }
 }

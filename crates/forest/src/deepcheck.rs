@@ -1,15 +1,13 @@
 //! Opt-in deep invariant checking (`FUME_DEEPCHECK=1`).
 //!
-//! The journal/rollback engine trades a full forest clone for an undo
-//! log, which makes its correctness *load-bearing*: a single missed
-//! [`UndoRecord`](crate::journal::UndoRecord) silently corrupts every ρ
-//! score computed after the bad rollback. This module wires
+//! Every ρ score FUME reports is the bias of a forest that exact deletion
+//! produced, so a deletion that leaves a stale cached statistic silently
+//! corrupts every score measured on it. This module wires
 //! [`validate::validate_forest`](crate::validate::validate_forest) into
-//! the mutation hot path as an opt-in gate: with the `FUME_DEEPCHECK`
+//! the unlearn-eval hot path as an opt-in gate: with the `FUME_DEEPCHECK`
 //! environment variable set to `1` (or `true`), debug and test builds
-//! re-validate the full forest after every journaled delete and every
-//! rollback, panicking with the violation list on the first
-//! inconsistency.
+//! re-validate the full counterfactual forest after every unlearn-eval
+//! delete, panicking with the violation list on the first inconsistency.
 //!
 //! Release builds compile the check to a no-op regardless of the
 //! environment, so production attribution runs pay nothing.
@@ -43,7 +41,7 @@ pub fn enabled() -> bool {
 /// panicking with every violation when the forest is inconsistent.
 ///
 /// `context` names the operation that just mutated the forest (e.g.
-/// `"delete_journaled"`, `"rollback"`) so a failure pinpoints the
+/// `"delete_unchecked"`) so a failure pinpoints the
 /// offending mutation, not just the detecting call site.
 #[inline]
 pub fn check_forest(forest: &DareForest, data: &Dataset, context: &str) {

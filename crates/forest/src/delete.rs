@@ -17,7 +17,6 @@ use crate::builder::{
 };
 use crate::config::DareConfig;
 use crate::gini::gini_gain;
-use crate::journal::{JournalSink, NodePath};
 use crate::node::{Candidate, Internal, Node};
 
 /// Counters describing what one deletion did to a tree (aggregated over the
@@ -56,7 +55,7 @@ fn subtract_sorted(ids: &mut Vec<u32>, del: &[u32]) {
 }
 
 /// Deletes `del` (sorted, deduplicated, all present under `node`) from the
-/// subtree rooted at `node` which sits at `depth`, without journaling.
+/// subtree rooted at `node` which sits at `depth`.
 pub(crate) fn delete_from_node(
     node: &mut Node,
     del: &[u32],
@@ -66,18 +65,18 @@ pub(crate) fn delete_from_node(
     cfg: &DareConfig,
     report: &mut DeleteReport,
 ) {
-    let mut pass = DeletePass::new(data, cfg, rng, report, JournalSink::Off);
-    pass.delete_at(node, del, depth, NodePath::ROOT);
+    let scratch = BuildScratch::new(data);
+    let mut pass = DeletePass { data, cfg, rng, report, survivors: Vec::new(), scratch };
+    // The traversal partitions the deleted ids in place, node by node.
+    pass.delete(node, &mut del.to_vec(), depth);
 }
 
-/// One top-down deletion pass over a tree: the shared traversal behind
-/// both the destructive delete and the journaled delete+rollback path.
-pub(crate) struct DeletePass<'a> {
+/// One top-down deletion pass over a tree.
+struct DeletePass<'a> {
     data: &'a Dataset,
     cfg: &'a DareConfig,
     rng: &'a mut StdRng,
     report: &'a mut DeleteReport,
-    journal: JournalSink,
     /// Surviving ids of the subtree being retrained or replenished.
     survivors: Vec<u32>,
     /// Builder workspace, shared by retrains, replenishment, candidate
@@ -85,42 +84,11 @@ pub(crate) struct DeletePass<'a> {
     scratch: BuildScratch,
 }
 
-impl<'a> DeletePass<'a> {
-    /// Builds a pass; `journal` decides whether mutations are recorded.
-    pub(crate) fn new(
-        data: &'a Dataset,
-        cfg: &'a DareConfig,
-        rng: &'a mut StdRng,
-        report: &'a mut DeleteReport,
-        journal: JournalSink,
-    ) -> Self {
-        let scratch = BuildScratch::new(data);
-        Self { data, cfg, rng, report, journal, survivors: Vec::new(), scratch }
-    }
-
-    /// Consumes the pass, yielding the journal's undo records.
-    pub(crate) fn into_records(self) -> Vec<crate::journal::UndoRecord> {
-        self.journal.into_records()
-    }
-
-    /// Deletes `del` (sorted, deduplicated, all present under `node`)
-    /// from the subtree rooted at `node` which sits at `depth`/`path`.
-    pub(crate) fn delete_at(
-        &mut self,
-        node: &mut Node,
-        del: &[u32],
-        depth: usize,
-        path: NodePath,
-    ) {
-        // The traversal partitions the deleted ids in place, node by node.
-        let mut del = del.to_vec();
-        self.delete(node, &mut del, depth, path);
-    }
-
-    /// The recursive step of [`Self::delete_at`]. `del` is sorted on entry;
+impl DeletePass<'_> {
+    /// Deletes `del` from the subtree at `node`. `del` is sorted on entry;
     /// it is partitioned in place only when the recursion descends, so
     /// every decision at this node sees it sorted.
-    fn delete(&mut self, node: &mut Node, del: &mut [u32], depth: usize, path: NodePath) {
+    fn delete(&mut self, node: &mut Node, del: &mut [u32], depth: usize) {
         if del.is_empty() {
             return;
         }
@@ -130,7 +98,6 @@ impl<'a> DeletePass<'a> {
 
         match node {
             Node::Leaf(leaf) => {
-                self.journal.record_leaf(path, leaf);
                 subtract_sorted(&mut leaf.ids, del);
                 leaf.n_pos -= del_pos;
                 self.report.leaves_updated += 1;
@@ -141,11 +108,10 @@ impl<'a> DeletePass<'a> {
 
                 // The builder would now make this node a leaf: rebuild.
                 if new_n < cfg.min_samples_split || new_n_pos == 0 || new_n_pos == new_n {
-                    self.retrain(node, del, depth, path);
+                    self.retrain(node, del, depth);
                     return;
                 }
 
-                self.journal.record_internal_stats(path, internal);
                 internal.n = new_n;
                 internal.n_pos = new_n_pos;
                 self.report.nodes_updated += 1;
@@ -158,13 +124,13 @@ impl<'a> DeletePass<'a> {
                     // resample any invalidated candidate thresholds *before*
                     // re-checking optimality (a fresh candidate may win).
                     chosen_split_dead(internal, cfg) || {
-                        self.replenish_candidates(internal, del, path);
+                        self.replenish_candidates(internal, del);
                         greedy_split_beaten(internal, cfg)
                     }
                 };
 
                 if retrain {
-                    self.retrain(node, del, depth, path);
+                    self.retrain(node, del, depth);
                     return;
                 }
 
@@ -172,8 +138,8 @@ impl<'a> DeletePass<'a> {
                 let n_left =
                     partition_in_place(column, internal.threshold, del, &mut self.scratch.right);
                 let (del_left, del_right) = del.split_at_mut(n_left);
-                self.delete(&mut internal.left, del_left, depth + 1, path.child(false));
-                self.delete(&mut internal.right, del_right, depth + 1, path.child(true));
+                self.delete(&mut internal.left, del_left, depth + 1);
+                self.delete(&mut internal.right, del_right, depth + 1);
             }
         }
     }
@@ -189,13 +155,12 @@ impl<'a> DeletePass<'a> {
     }
 
     /// Rebuilds the subtree at `node` from its surviving instances.
-    fn retrain(&mut self, node: &mut Node, del: &[u32], depth: usize, path: NodePath) {
+    fn retrain(&mut self, node: &mut Node, del: &[u32], depth: usize) {
         self.collect_survivors(&[node], del);
         self.report.rows_retrained += self.survivors.len();
         self.report.subtrees_retrained += 1;
         let Self { data, cfg, rng, survivors, scratch, .. } = self;
-        let rebuilt = build_node(data, survivors, depth, rng, cfg, scratch);
-        self.journal.replace_subtree(path, node, rebuilt);
+        *node = build_node(data, survivors, depth, rng, cfg, scratch);
     }
 
     /// Replaces cached candidates that stopped separating the node's data
@@ -206,7 +171,7 @@ impl<'a> DeletePass<'a> {
     /// Each attribute that lost candidates, in order of its first loss,
     /// resamples as many cuts as it lost, excluding the thresholds it still
     /// holds; the fresh candidates follow the surviving ones in the pool.
-    fn replenish_candidates(&mut self, internal: &mut Internal, del: &[u32], path: NodePath) {
+    fn replenish_candidates(&mut self, internal: &mut Internal, del: &[u32]) {
         let (data, cfg) = (self.data, self.cfg);
         let n = internal.n;
         let valid = |c: &Candidate| candidate_valid(c, n, cfg);
@@ -214,8 +179,6 @@ impl<'a> DeletePass<'a> {
             return;
         }
         self.report.candidates_replenished += 1;
-        // The pool is about to be restructured: journal it wholesale.
-        self.journal.record_candidates(path, internal);
 
         // Identify the chosen candidate before the pool is restructured.
         let chosen_key = {

@@ -6,13 +6,12 @@
 //! ambiguous — a deleted instance appears in a random subset of trees.)
 
 use fume_tabular::cast::row_u32;
-use fume_tabular::workers::{parallel_map, parallel_map_mut, parallel_zip_map, resolve_jobs};
+use fume_tabular::workers::{parallel_map, parallel_map_mut, resolve_jobs};
 use fume_tabular::{Classifier, Dataset};
 
 use crate::config::DareConfig;
 use crate::delete::DeleteReport;
 use crate::insert::InsertReport;
-use crate::journal::{TreeUndo, UndoJournal};
 use crate::tree::DareTree;
 
 /// A random forest classifier with exact unlearning (DaRE-RF).
@@ -149,66 +148,6 @@ impl DareForest {
         total
     }
 
-    /// [`Self::delete_unchecked`] with an undo journal: unlearns `ids`
-    /// from every tree while recording everything mutated, so
-    /// [`Self::rollback`] restores the forest byte-identically (same
-    /// structure, statistics *and* per-tree RNG streams — a rolled-back
-    /// forest compares equal to a pre-delete snapshot).
-    ///
-    /// Like `delete_unchecked`, the caller guarantees every id is
-    /// currently held by the forest; this is FUME's scratch-forest hot
-    /// path, where selections come from the training universe.
-    pub fn delete_journaled(&mut self, ids: &[u32], data: &Dataset) -> UndoJournal {
-        let mut del: Vec<u32> = ids.to_vec();
-        del.sort_unstable();
-        del.dedup();
-        if del.is_empty() {
-            return UndoJournal::empty();
-        }
-        let _span = fume_obs::span!("forest.delete", ids = del.len(), journaled = true);
-        let jobs = resolve_jobs(self.config.n_jobs, self.trees.len());
-        let (config, del_ref) = (&self.config, &del);
-        let outcomes: Vec<(DeleteReport, TreeUndo)> =
-            parallel_map_mut(&mut self.trees, jobs, |t| {
-                t.delete_journaled(del_ref, data, config)
-            });
-        let (reports, undos): (Vec<DeleteReport>, Vec<TreeUndo>) =
-            outcomes.into_iter().unzip();
-        let total = merge_delete_reports(&reports);
-        let n_deleted = row_u32(del.len());
-        self.n_instances -= n_deleted;
-        emit_delete_counters(del.len(), &total);
-        let journal = UndoJournal { trees: undos, n_deleted, report: total };
-        crate::deepcheck::check_forest(self, data, "delete_journaled");
-        journal
-    }
-
-    /// Undoes a journaled deletion, restoring the forest to exactly its
-    /// pre-delete state. Returns the total number of node restorations
-    /// applied across all trees.
-    ///
-    /// `journal` must come from this forest's most recent
-    /// [`Self::delete_journaled`]; journals do not compose, so roll back
-    /// before the next journaled delete.
-    pub fn rollback(&mut self, journal: UndoJournal) -> usize {
-        if journal.trees.is_empty() && journal.n_deleted == 0 {
-            return 0; // journal of an empty delete
-        }
-        assert_eq!(
-            journal.trees.len(),
-            self.trees.len(),
-            "journal does not belong to this forest"
-        );
-        let _span = fume_obs::span!("forest.rollback", records = journal.nodes_recorded());
-        let jobs = resolve_jobs(self.config.n_jobs, self.trees.len());
-        let restored: Vec<usize> =
-            parallel_zip_map(&mut self.trees, journal.trees, jobs, |t, undo| {
-                t.rollback(undo)
-            });
-        self.n_instances += journal.n_deleted;
-        restored.into_iter().sum()
-    }
-
     /// Incrementally learns additional rows of `data` (the forest must
     /// have been fitted on rows of the same dataset). Ids are sorted and
     /// deduplicated internally; out-of-range or already-present ids are
@@ -248,23 +187,6 @@ impl DareForest {
         fume_obs::counter!("forest.nodes_updated", total.nodes_updated);
         fume_obs::counter!("forest.leaves_updated", total.leaves_updated);
         Ok(total)
-    }
-
-    /// Positive-class probability for a single `row` of `data` — bitwise
-    /// identical to `predict_proba(data)[row]`: same tree order, same
-    /// accumulate-then-divide float sequence, same empty-forest answer.
-    /// Incremental evaluators re-predict only dirty rows through this, so
-    /// a partially refreshed prediction vector cannot drift from a full
-    /// pass.
-    pub fn predict_row(&self, data: &Dataset, row: usize) -> f64 {
-        if self.trees.is_empty() {
-            return 0.5;
-        }
-        let mut acc = 0.0f64;
-        for tree in &self.trees {
-            acc += tree.predict_row(data, row);
-        }
-        acc / self.trees.len() as f64
     }
 
     /// The reference full prediction pass: the direct pointer walk over
@@ -485,59 +407,6 @@ mod tests {
         assert_eq!(forest.num_instances() as usize, data.num_rows());
         for t in forest.trees() {
             assert_eq!(t.instance_ids(), data.all_row_ids());
-        }
-    }
-
-    #[test]
-    fn journaled_delete_matches_unchecked_delete() {
-        let (data, _) = planted_toy().generate_scaled(0.1, 32).unwrap();
-        let mut a = DareForest::fit(&data, small_cfg(14));
-        let mut b = a.clone();
-        let del: Vec<u32> = (0..40).step_by(3).collect();
-        let ra = a.delete_unchecked(&del, &data);
-        let journal = b.delete_journaled(&del, &data);
-        assert_eq!(a, b, "journaling must not change deletion outcome");
-        assert_eq!(ra, journal.report);
-        assert_eq!(journal.n_deleted(), del.len() as u32);
-        assert!(journal.approx_bytes() > 0);
-    }
-
-    #[test]
-    fn rollback_restores_pre_delete_snapshot() {
-        let (data, _) = planted_toy().generate_scaled(0.1, 33).unwrap();
-        for jobs in [1usize, 4] {
-            let mut forest = DareForest::fit(&data, small_cfg(15).with_jobs(jobs));
-            let snapshot = forest.clone();
-            let del: Vec<u32> = (0..50).step_by(2).collect();
-            let journal = forest.delete_journaled(&del, &data);
-            assert_ne!(forest, snapshot, "delete must mutate the forest");
-            let restored = forest.rollback(journal);
-            assert!(restored > 0);
-            assert_eq!(forest, snapshot, "rollback must restore byte-identical state");
-            // The restored forest still unlearns correctly.
-            forest.delete(&del, &data).unwrap();
-            assert_eq!(forest.num_instances() as usize, data.num_rows() - del.len());
-        }
-    }
-
-    #[test]
-    fn empty_journaled_delete_is_noop() {
-        let (data, _) = planted_toy().generate_scaled(0.1, 34).unwrap();
-        let mut forest = DareForest::fit(&data, small_cfg(16));
-        let before = forest.clone();
-        let journal = forest.delete_journaled(&[], &data);
-        assert_eq!(journal.n_deleted(), 0);
-        assert_eq!(journal.nodes_recorded(), 0);
-        assert_eq!(forest, before);
-    }
-
-    #[test]
-    fn predict_row_is_bitwise_identical_to_the_full_pass() {
-        let (data, _) = planted_toy().generate_scaled(0.1, 35).unwrap();
-        let forest = DareForest::fit(&data, small_cfg(17));
-        let full = forest.predict_proba(&data);
-        for (row, p) in full.iter().enumerate() {
-            assert_eq!(p.to_bits(), forest.predict_row(&data, row).to_bits(), "row {row}");
         }
     }
 

@@ -23,17 +23,10 @@
 //! exactness, and [`extra_trees`] provides a HedgeCut-style extremely
 //! randomized variant for comparison.
 //!
-//! For evaluation loops that unlearn a subset only to measure the
-//! resulting model, [`DareForest::delete_journaled`] records every
-//! mutation into an [`UndoJournal`] and [`DareForest::rollback`] restores
-//! the forest byte-identically — the substrate for FUME's zero-clone
-//! scratch-forest pool (see the [`journal`] module).
-//!
-//! Full prediction passes over a deployed forest run through a
-//! [`PredictPlan`]: a read-optimized struct-of-arrays arena compiled from
-//! the pointer trees, traversed by a blocked kernel that is bitwise
-//! identical to the pointer walk and patchable from the same journals
-//! (see the [`plan`] module).
+//! Full prediction passes over a forest run through a [`PredictPlan`]: a
+//! read-optimized struct-of-arrays arena compiled from the pointer trees,
+//! traversed by a blocked kernel that is bitwise identical to the pointer
+//! walk (see the [`plan`] module).
 
 #![warn(missing_docs)]
 
@@ -46,11 +39,9 @@ pub mod forest;
 pub mod gbdt;
 pub mod gini;
 pub mod insert;
-pub mod journal;
 pub mod node;
 pub mod persist;
 pub mod plan;
-pub mod routing;
 pub mod tree;
 pub mod validate;
 
@@ -59,7 +50,5 @@ pub use delete::DeleteReport;
 pub use forest::{DareForest, ForestError};
 pub use gbdt::{Gbdt, GbdtConfig};
 pub use insert::InsertReport;
-pub use journal::{TreeUndo, UndoJournal};
-pub use plan::{PlanCones, PredictPlan, BLOCK_ROWS, PLAN_FULL_PASS_MIN_ROWS};
-pub use routing::{DirtyRows, RoutingIndex};
+pub use plan::{PredictPlan, BLOCK_ROWS, PLAN_FULL_PASS_MIN_ROWS};
 pub use tree::DareTree;

@@ -12,8 +12,6 @@
 use fume_tabular::cast::row_u32;
 use fume_tabular::Dataset;
 
-use crate::journal::NodePath;
-
 /// A cached candidate split with its sufficient statistics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Candidate {
@@ -74,31 +72,6 @@ pub struct Internal {
     pub right: Node,
 }
 
-impl Internal {
-    /// The `(n_left, n_left_pos)` pair of every cached candidate, in pool
-    /// order — the sufficient statistics an in-place delete mutates.
-    /// Snapshotting these (rather than cloning whole [`Candidate`]s) is
-    /// what keeps undo-journal records small: attribute and threshold are
-    /// untouched by in-place updates.
-    pub fn candidate_stats(&self) -> Vec<(u32, u32)> {
-        self.candidates.iter().map(|c| (c.n_left, c.n_left_pos)).collect()
-    }
-
-    /// Writes a [`Self::candidate_stats`] snapshot back over the pool.
-    /// The pool must have the shape it had when the snapshot was taken.
-    pub fn restore_candidate_stats(&mut self, stats: &[(u32, u32)]) {
-        debug_assert_eq!(
-            self.candidates.len(),
-            stats.len(),
-            "candidate pool shape must match the snapshot"
-        );
-        for (cand, &(n_left, n_left_pos)) in self.candidates.iter_mut().zip(stats) {
-            cand.n_left = n_left;
-            cand.n_left_pos = n_left_pos;
-        }
-    }
-}
-
 /// A tree node.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Node {
@@ -150,25 +123,6 @@ impl Node {
                     } else {
                         &i.right
                     };
-                }
-            }
-        }
-    }
-
-    /// Like [`Self::predict_row`], but also returns the [`NodePath`] of
-    /// the leaf the row lands in — the address the routing index stores
-    /// so a journaled deletion can name exactly which cached predictions
-    /// it invalidated.
-    pub fn route_row(&self, data: &Dataset, row: usize) -> (NodePath, f64) {
-        let mut node = self;
-        let mut path = NodePath::ROOT;
-        loop {
-            match node {
-                Node::Leaf(l) => return (path, l.proba()),
-                Node::Internal(i) => {
-                    let right = data.code(row, i.attr as usize) > i.threshold;
-                    path = path.child(right);
-                    node = if right { &i.right } else { &i.left };
                 }
             }
         }

@@ -6,9 +6,8 @@ use fume_tabular::rng::{SeedableRng, StdRng};
 
 use crate::builder::{build_node, BuildScratch};
 use crate::config::DareConfig;
-use crate::delete::{delete_from_node, DeletePass, DeleteReport};
+use crate::delete::{delete_from_node, DeleteReport};
 use crate::insert::{InsertPass, InsertReport};
-use crate::journal::{rollback_records, JournalSink, NodePath, TreeUndo};
 use crate::node::Node;
 
 /// A decision tree supporting exact unlearning of training instances.
@@ -50,21 +49,6 @@ impl DareTree {
         self.root.predict_row(data, row)
     }
 
-    /// The probability at the leaf addressed by `path` — the vote of
-    /// every row routed there, in the bits a full walk would produce.
-    /// Incremental evaluators use this to refresh all rows cached at a
-    /// journal-edited leaf with a single lookup instead of one walk per
-    /// row. Panics if `path` names an internal node: callers pass leaf
-    /// addresses recorded by this tree's own journal, outside any
-    /// rebuilt subtree, so the address still resolves to that leaf.
-    pub fn proba_at(&self, path: NodePath) -> f64 {
-        match path.locate(&self.root) {
-            Node::Leaf(leaf) => leaf.proba(),
-            // fume-lint: allow(F001) -- contract documented above: journal Leaf records only ever address leaves, and rebuilt cones are excluded by the caller; reaching an internal node means a corrupted journal, not a recoverable state
-            Node::Internal(_) => panic!("proba_at: {path:?} addresses an internal node"),
-        }
-    }
-
     /// Unlearns the training instances `del` (must be sorted, deduplicated
     /// and present in the tree). Statistics are updated in place; subtrees
     /// are rebuilt from surviving instances only where the cached
@@ -74,40 +58,6 @@ impl DareTree {
         let mut report = DeleteReport::default();
         delete_from_node(&mut self.root, del, data, 0, &mut self.rng, cfg, &mut report);
         report
-    }
-
-    /// [`Self::delete`] with an undo journal: performs the same deletion
-    /// while recording every mutated statistic, edited leaf, displaced
-    /// subtree, and the pre-delete RNG state, so that
-    /// [`Self::rollback`] restores the tree byte-identically.
-    pub fn delete_journaled(
-        &mut self,
-        del: &[u32],
-        data: &Dataset,
-        cfg: &DareConfig,
-    ) -> (DeleteReport, TreeUndo) {
-        debug_assert!(del.windows(2).all(|w| w[0] < w[1]), "ids must be sorted unique");
-        let rng_before = self.rng.clone();
-        let mut report = DeleteReport::default();
-        let mut pass =
-            DeletePass::new(data, cfg, &mut self.rng, &mut report, JournalSink::On(Vec::new()));
-        pass.delete_at(&mut self.root, del, 0, NodePath::ROOT);
-        let records = pass.into_records();
-        (report, TreeUndo { records, rng: rng_before })
-    }
-
-    /// Undoes a journaled deletion, restoring the tree — structure,
-    /// statistics, candidate pools, leaf instance lists and RNG stream —
-    /// to exactly its pre-delete state. Returns the number of node
-    /// restorations applied.
-    ///
-    /// `undo` must come from this tree's most recent
-    /// [`Self::delete_journaled`]; replaying a foreign or stale journal
-    /// corrupts the tree.
-    pub fn rollback(&mut self, undo: TreeUndo) -> usize {
-        let restored = rollback_records(&mut self.root, undo.records);
-        self.rng = undo.rng;
-        restored
     }
 
     /// Incrementally learns the additional training instances `ins`

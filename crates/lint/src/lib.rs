@@ -2,10 +2,10 @@
 //!
 //! Exact unlearning is only exact while every cached statistic, RNG
 //! stream, and index stays bit-for-bit consistent with a from-scratch
-//! retrain. The journal/rollback engine made the forest a heavily
-//! mutated, path-addressed structure where one lossy cast, stray clock
-//! read, or panic mid-journal silently corrupts counterfactual ρ scores
-//! — so the correctness contract is enforced by tooling, not just tests.
+//! retrain. The forest is a heavily mutated structure where one lossy
+//! cast, stray clock read, or panic mid-delete silently corrupts
+//! counterfactual ρ scores — so the correctness contract is enforced by
+//! tooling, not just tests.
 //! The workspace is deliberately dependency-free, so the tooling is too:
 //! a hand-rolled lexer ([`lexer`]), a test-scope tracker ([`scope`]), a
 //! per-file policy ([`policy`]), and the rule catalog ([`rules`]).
@@ -188,8 +188,10 @@ pub fn lint_file(abs: &Path, rel: &str) -> std::io::Result<LintReport> {
     Ok(lint_source(rel, &source, &policy_for(rel)))
 }
 
-/// Collects the workspace's lintable sources: `crates/*/src/**/*.rs` and
-/// the facade's `src/**/*.rs`, in sorted order for deterministic output.
+/// Collects the workspace's lintable sources: `crates/*/src/**/*.rs`,
+/// the integration tests `crates/*/tests/**/*.rs` (minus the lint
+/// fixtures, which are bad on purpose), and the facade's `src/**/*.rs`
+/// and `tests/**/*.rs`, in sorted order for deterministic output.
 pub fn workspace_sources(root: &Path) -> std::io::Result<Vec<(PathBuf, String)>> {
     let mut files = Vec::new();
     let crates_dir = root.join("crates");
@@ -202,9 +204,13 @@ pub fn workspace_sources(root: &Path) -> std::io::Result<Vec<(PathBuf, String)>>
         crate_dirs.sort();
         for dir in crate_dirs {
             collect_rs(&dir.join("src"), &mut files)?;
+            collect_rs(&dir.join("tests"), &mut files)?;
         }
     }
     collect_rs(&root.join("src"), &mut files)?;
+    collect_rs(&root.join("tests"), &mut files)?;
+    let fixtures = root.join("crates/lint/tests/fixtures");
+    files.retain(|f| !f.starts_with(&fixtures));
     files.sort();
     let mut out = Vec::new();
     for f in files {

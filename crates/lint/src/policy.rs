@@ -41,6 +41,9 @@ pub struct FilePolicy {
     pub atomic_orderings: bool,
     /// F012 raw `std::sync` primitive construction.
     pub sync_construction: bool,
+    /// F013 fixed temp paths, over the whole file (integration tests);
+    /// test scopes are checked in every file regardless.
+    pub fixed_temp_paths: bool,
 }
 
 impl FilePolicy {
@@ -62,6 +65,7 @@ impl FilePolicy {
             nested_locks: true,
             atomic_orderings: true,
             sync_construction: true,
+            fixed_temp_paths: true,
         }
     }
 }
@@ -127,6 +131,9 @@ pub fn policy_for(path: &str) -> FilePolicy {
         // Only the sanctioned module may construct raw primitives (it
         // wraps them).
         sync_construction: p != "crates/obs/src/sync.rs",
+        // Integration-test files are test code throughout; elsewhere
+        // F013 checks only `#[cfg(test)]`/`#[test]` scopes.
+        fixed_temp_paths: p.contains("/tests/") || p.starts_with("tests/"),
     }
 }
 
@@ -159,6 +166,14 @@ mod tests {
     fn casts_only_bite_in_index_crates() {
         assert!(policy_for("crates/lattice/src/search.rs").narrow_casts);
         assert!(!policy_for("crates/tabular/src/stats.rs").narrow_casts);
+    }
+
+    #[test]
+    fn fixed_temp_paths_bind_integration_tests_only() {
+        assert!(policy_for("tests/cli.rs").fixed_temp_paths);
+        assert!(policy_for("crates/forest/tests/deepcheck.rs").fixed_temp_paths);
+        assert!(!policy_for("crates/forest/src/persist.rs").fixed_temp_paths);
+        assert!(!policy_for("examples/model_lifecycle.rs").fixed_temp_paths);
     }
 
     #[test]

@@ -131,6 +131,15 @@ fn f012_raw_sync_construction_flagged_at_exact_lines() {
 }
 
 #[test]
+fn f013_fixed_temp_paths_flagged_at_exact_lines() {
+    assert_eq!(
+        hits("f013_bad.rs"),
+        vec![("F013", 4), ("F013", 15)],
+        "literal joins flagged, test scope included; the pid-suffixed path passes"
+    );
+}
+
+#[test]
 fn lexer_edge_cases_do_not_shift_or_invent_findings() {
     assert_eq!(
         hits("lexer_edge_bad.rs"),
@@ -151,8 +160,8 @@ fn suppressed_fixture_is_clean_with_counted_suppressions() {
     let report = lint_fixture("suppressed.rs");
     assert!(report.clean(), "{:?}", report.diagnostics);
     assert_eq!(
-        report.suppressed, 11,
-        "one documented suppression per rule F001..F007 and F009..F012"
+        report.suppressed, 12,
+        "one documented suppression per rule F001..F007 and F009..F013"
     );
 }
 

@@ -57,3 +57,8 @@ pub fn twelve() -> Condvar {
     // fume-lint: allow(F012) -- fixture: raw primitive quarantined to this constructor
     Condvar::new()
 }
+
+pub fn thirteen() -> std::path::PathBuf {
+    // fume-lint: allow(F013) -- fixture: the path is unique per checkout
+    std::env::temp_dir().join("fume-fixture")
+}

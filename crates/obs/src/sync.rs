@@ -314,9 +314,9 @@ pub enum Recovery<T> {
     /// counters, where losing the poisoned increment is fine).
     Keep,
     /// Run a reset function over the data before reuse — correct when a
-    /// half-applied mutation would be unsound (e.g. a scratch pool
-    /// whose forests may be mid-rollback). The function may emit its
-    /// own domain counters.
+    /// half-applied mutation would be unsound (e.g. a cache whose
+    /// entries may be half-written). The function may emit its own
+    /// domain counters.
     Reset(fn(&mut T)),
 }
 

@@ -1,7 +1,7 @@
 //! `fume-serve` — a persistent FUME explain server.
 //!
-//! Loads a CSV once, trains the DaRE forest once, keeps the unlearning
-//! scratch pool warm and the eval cache hot, and serves explain
+//! Loads a CSV once, trains the DaRE forest once, keeps the eval cache
+//! hot, and serves explain
 //! requests as newline-delimited JSON — over stdin/stdout, and
 //! optionally a Unix-domain socket at the same time.
 //!

@@ -1,5 +1,5 @@
-//! The persistent explain engine: one trained forest, one warm scratch
-//! pool, one eval cache — many requests.
+//! The persistent explain engine: one trained forest, one eval cache —
+//! many requests.
 //!
 //! An [`Engine`] owns everything expensive: the dataset split, the
 //! trained DaRE forest, and the cross-request [`EvalCache`]. Calling
@@ -7,7 +7,7 @@
 //! worker pool (threads come from [`fume_tabular::workers`], the
 //! workspace's single threading choke point) and hands the caller an
 //! [`EngineHandle`] to submit jobs through. Every job funnels through
-//! [`fume_core::Fume::run`] with [`RemovalSpec::Shared`], so the server
+//! [`fume_core::Fume::run`] with the default DaRE removal, so the server
 //! executes the exact same code path as the library and the CLI.
 //!
 //! Admission control is strict: a full queue rejects with
@@ -24,7 +24,7 @@ use fume_obs::clock::Duration;
 use fume_obs::sync::{Counter, TrackedCondvar, TrackedGuard, TrackedMutex};
 
 use fume_core::checkpoint::{self, CheckpointError};
-use fume_core::{DareRemoval, ExplainRequest, Fume, FumeConfig, FumeError, FumeReport, RemovalSpec};
+use fume_core::{ExplainRequest, Fume, FumeConfig, FumeError, FumeReport};
 use fume_fairness::FairnessMetric;
 use fume_forest::DareForest;
 use fume_lattice::SupportRange;
@@ -43,7 +43,7 @@ pub struct EngineOptions {
     pub queue_depth: usize,
     /// Eval-parallelism *within* one job (`FumeConfig::n_jobs` of the
     /// per-job config). Keep at 1 when `workers > 1`: cross-job
-    /// parallelism already saturates the scratch pool.
+    /// parallelism already saturates the cores.
     pub job_jobs: usize,
     /// Entry capacity of the cross-request eval cache; 0 disables it.
     pub cache_capacity: usize,
@@ -218,7 +218,6 @@ struct QueueState {
 
 struct Shared<'e> {
     engine: &'e Engine,
-    removal: DareRemoval<'e>,
     state: TrackedMutex<QueueState>,
     work: TrackedCondvar,
     next_id: Counter,
@@ -245,7 +244,6 @@ impl Shared<'_> {
                 let fume = Fume::new(cfg);
                 let request = ExplainRequest::new(&engine.train, &engine.test, engine.group)
                     .with_model(&engine.forest)
-                    .with_removal(RemovalSpec::Shared(&self.removal))
                     .with_memo(&memo);
                 let report = fume.run(&request)?;
                 Ok(JobReply::Report(report))
@@ -502,8 +500,8 @@ impl Engine {
         Ok(cfg)
     }
 
-    /// Runs the engine: brings up the worker pool around a warm scratch
-    /// pool, calls `f` with a submission handle, then drains and joins.
+    /// Runs the engine: brings up the worker pool, calls `f` with a
+    /// submission handle, then drains and joins.
     ///
     /// Jobs submitted by `f` (from any thread `f` fans out to — the
     /// handle is `Copy + Sync`) execute on the pool concurrently.
@@ -511,23 +509,8 @@ impl Engine {
     /// worker has exited; if `f` panics, the drain still completes
     /// before the panic resumes.
     pub fn serve<T: Send>(&self, f: impl FnOnce(EngineHandle<'_, '_>) -> T + Send) -> T {
-        let removal = DareRemoval::new(&self.forest, &self.train);
-        {
-            use fume_core::RemovalMethod;
-            removal.warm(self.opts.workers.max(1) * self.opts.job_jobs.max(1));
-            // Pay the cold evaluation build (plan compile, routing index,
-            // base predictions) up front too, so the first request hits a
-            // fully warm engine. Requests overriding the metric still
-            // share this state — it is keyed on (test, group) only.
-            removal.prewarm_incremental(&fume_core::BiasEval {
-                metric: self.config.metric,
-                test: &self.test,
-                group: self.group,
-            });
-        }
         let shared = Shared {
             engine: self,
-            removal,
             state: TrackedMutex::new("serve.engine.queue", QueueState::default()),
             work: TrackedCondvar::new(),
             next_id: Counter::new(0),

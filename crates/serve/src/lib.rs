@@ -2,10 +2,10 @@
 //!
 //! A persistent, multi-request FUME explain engine.
 //!
-//! The one-shot pipeline (train a DaRE forest, warm a scratch pool, run
-//! one lattice search, exit) wastes its two expensive assets — the
-//! trained forest and the warm unlearning pool — after a single
-//! question. This crate keeps them alive across requests:
+//! The one-shot pipeline (train a DaRE forest, run one lattice search,
+//! exit) wastes its two expensive assets — the trained forest and the
+//! `ρ` values it computed — after a single question. This crate keeps
+//! them alive across requests:
 //!
 //! * [`Engine`] loads the data and trains (or adopts) the forest
 //!   **once**, then serves any number of explain jobs against it;

@@ -80,41 +80,6 @@ pub fn parallel_map_mut<T: Send, R: Send>(
     collect_slots(out)
 }
 
-/// Zips `items` with owned `args` and maps `f` over the pairs mutably
-/// using at most `jobs` scoped threads, preserving order. Used by
-/// journal rollback, where each tree consumes its own undo log by value.
-pub fn parallel_zip_map<T: Send, A: Send, R: Send>(
-    items: &mut [T],
-    args: Vec<A>,
-    jobs: usize,
-    f: impl Fn(&mut T, A) -> R + Sync,
-) -> Vec<R> {
-    debug_assert_eq!(items.len(), args.len());
-    if jobs <= 1 || items.len() <= 1 {
-        return items.iter_mut().zip(args).map(|(t, a)| f(t, a)).collect();
-    }
-    let chunk = items.len().div_ceil(jobs);
-    let mut args: Vec<Option<A>> = args.into_iter().map(Some).collect();
-    let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for ((slot_chunk, item_chunk), arg_chunk) in
-            out.chunks_mut(chunk).zip(items.chunks_mut(chunk)).zip(args.chunks_mut(chunk))
-        {
-            let f = &f;
-            scope.spawn(move || {
-                for ((slot, item), arg) in
-                    slot_chunk.iter_mut().zip(item_chunk).zip(arg_chunk)
-                {
-                    if let Some(arg) = arg.take() {
-                        *slot = Some(f(item, arg));
-                    }
-                }
-            });
-        }
-    });
-    collect_slots(out)
-}
-
 /// Runs `main` while `n` long-lived workers execute `worker(i)` on
 /// scoped threads. Unlike [`parallel_map`] there is no work list: the
 /// workers are event loops (queue consumers, socket acceptors) that
@@ -173,17 +138,6 @@ mod tests {
         });
         assert_eq!(items[0], 1);
         assert_eq!(out, items);
-    }
-
-    #[test]
-    fn parallel_zip_map_consumes_args_in_order() {
-        let mut items: Vec<u32> = vec![0; 20];
-        let args: Vec<u32> = (0..20).collect();
-        let out = parallel_zip_map(&mut items, args, 4, |slot, a| {
-            *slot = a * 10;
-            *slot
-        });
-        assert_eq!(out, (0..20).map(|a| a * 10).collect::<Vec<u32>>());
     }
 
     #[test]

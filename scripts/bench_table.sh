@@ -29,7 +29,7 @@ table() {
 
     f=BENCH_unlearn_eval.json
     if [ -f "$f" ]; then
-        echo "| \`unlearn_eval\` | $(mode $f) | pooled $(field $f speedup)x over clone-per-eval; incremental $(field $f incr_speedup)x over pooled ($(field $f incr_evals_per_sec) evals/s) | both >= 1.0x |"
+        echo "| \`unlearn_eval\` | $(mode $f) | lattice level-1 subsets at 5-15% support ($(field $f lattice_rows_mean) rows mean): $(field $f lattice_ms_per_eval) ms/eval ($(field $f lattice_evals_per_sec) evals/s); tiny 4-10-row subsets: $(field $f tiny_ms_per_eval) ms/eval ($(field $f tiny_evals_per_sec) evals/s) | every bias bitwise equal to a clone -> delete -> bias replay |"
     fi
 
     f=BENCH_predict.json

@@ -21,6 +21,7 @@ use fume::tabular::{Dataset, GroupSpec};
 
 /// Fault state is process-global; every test that arms a site (or runs a
 /// checkpointed search that passes fault points) serializes on this.
+// fume-lint: allow(F012) -- a static test-serialization gate needs a const constructor, which TrackedMutex does not have
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
 const SEED: u64 = 11;

@@ -22,6 +22,7 @@ use fume::tabular::split::train_test_split;
 
 /// The recorder and progress state are process-global; the tests in this
 /// binary serialize on this lock and reset both at entry.
+// fume-lint: allow(F012) -- a static test-serialization gate needs a const constructor, which TrackedMutex does not have
 static ACCOUNTING_LOCK: Mutex<()> = Mutex::new(());
 
 #[derive(Default)]
@@ -80,10 +81,11 @@ fn counters_and_progress_account_for_every_submitted_item() {
         .collect();
 
     let memo = MapMemo::default();
+    let removal = DareRemoval::new(&forest, &train);
     // Cold pass: 3 unique selections evaluated, 1 dedup hit.
     fume::obs::progress::level_started(1, items.len() as u64, items.len() as u64);
     let cold = AttributionEstimator::new(
-        DareRemoval::new(&forest, &train),
+        &removal,
         metric,
         &test,
         group,
@@ -96,7 +98,7 @@ fn counters_and_progress_account_for_every_submitted_item() {
     // hit, plus the same dedup hit — zero forest work.
     fume::obs::progress::level_started(2, items.len() as u64, items.len() as u64);
     let warm = AttributionEstimator::new(
-        DareRemoval::new(&forest, &train),
+        &removal,
         metric,
         &test,
         group,

@@ -1,126 +1,84 @@
-//! The zero-clone unlearn-eval engine, exercised across the stack:
-//! journaled deletion must be rollback-exact on the forest (byte-identical
-//! to a pre-delete snapshot, RNG stream included), and the scratch-pool
-//! evaluation path must produce bit-identical attribution vectors to the
-//! clone-per-eval baseline at any parallelism.
+//! The unlearn-eval path, exercised across the stack: the ρ vector
+//! `DareRemoval` produces through the attribution estimator must be
+//! bit-identical to an independent clone → `delete` → bias replay at any
+//! parallelism, and evaluating must never touch the deployed forest.
 
+use fume::core::parity_reduction;
 use fume::core::prelude::*;
-use fume::forest::validate::validate_forest;
 use fume::lattice::{BatchEvaluator, EvalItem, Literal, Predicate};
 use fume::tabular::datasets::planted_toy;
-use fume::tabular::rng::{Rng, SeedableRng, StdRng};
 use fume::tabular::split::train_test_split;
 
-/// Seeded loop over random subset sizes: after `delete_journaled` +
-/// `rollback`, the forest equals the pre-delete snapshot exactly — and is
-/// still a *valid* DaRE forest that unlearns correctly afterwards.
-#[test]
-fn journal_rollback_is_exact_across_random_subset_sizes() {
-    let (data, _) = planted_toy().generate_scaled(0.25, 91).unwrap();
-    let cfg = DareConfig { n_trees: 8, max_depth: 7, seed: 91, ..DareConfig::default() };
-    let mut forest = DareForest::fit(&data, cfg);
-    let snapshot = forest.clone();
-    let mut rng = StdRng::seed_from_u64(91);
-    let n = data.num_rows() as u32;
-
-    for round in 0..12 {
-        // Sizes from a single row up to ~20% of the data.
-        let size = 1 + rng.gen_range(0..(n / 5));
-        let mut subset: Vec<u32> = (0..size).map(|_| rng.gen_range(0..n)).collect();
-        subset.sort_unstable();
-        subset.dedup();
-
-        let journal = forest.delete_journaled(&subset, &data);
-        assert_eq!(journal.n_deleted() as usize, subset.len());
-        assert_ne!(forest, snapshot, "round {round}: delete must mutate");
-        let restored = forest.rollback(journal);
-        assert!(restored > 0, "round {round}: nothing was restored");
-        assert_eq!(
-            forest, snapshot,
-            "round {round} (|T| = {}): rollback must restore the snapshot",
-            subset.len()
-        );
-    }
-
-    // The rolled-back forest is not just structurally equal — its cached
-    // statistics still satisfy every DaRE invariant, and a destructive
-    // delete behaves as if the journaled rounds never happened.
-    let violations = validate_forest(&forest, &data);
-    assert!(violations.is_empty(), "{violations:?}");
-    let mut twin = snapshot.clone();
-    let del: Vec<u32> = (0..30).collect();
-    forest.delete(&del, &data).unwrap();
-    twin.delete(&del, &data).unwrap();
-    assert_eq!(forest, twin);
+struct Fixture {
+    train: Dataset,
+    test: Dataset,
+    group: GroupSpec,
+    forest: DareForest,
+    preds: Vec<Predicate>,
 }
 
-fn rho_vector<R: RemovalMethod>(removal: R, n_jobs: usize) -> Vec<f64> {
+fn fixture() -> Fixture {
     let (data, group) = planted_toy().generate_scaled(0.5, 93).unwrap();
     let (train, test) = train_test_split(&data, 0.3, 93).unwrap();
-    let metric = FairnessMetric::StatisticalParity;
-    // `removal` wraps a forest trained by `trained_forest` on this exact
-    // split, so the observed bias matches too.
-    let forest = trained_forest();
-    let bias = metric.bias(&forest, &test, group);
-    assert!(bias > 0.0, "fixture must show a violation");
-
-    let preds: Vec<Predicate> = (0..2u16)
+    let forest = DareForest::fit(&train, DareConfig::small(93));
+    let preds = (0..2u16)
         .flat_map(|attr| (0..3u16).map(move |v| Predicate::single(Literal::eq(attr, v))))
         .collect();
-    let selections: Vec<Vec<u32>> = preds.iter().map(|p| p.select(&train)).collect();
-    let items: Vec<EvalItem<'_>> = preds
+    Fixture { train, test, group, forest, preds }
+}
+
+const METRIC: FairnessMetric = FairnessMetric::StatisticalParity;
+
+/// ρ of every fixture predicate through `DareRemoval` and the estimator.
+fn rho_vector(f: &Fixture, n_jobs: usize) -> Vec<f64> {
+    let bias = METRIC.bias(&f.forest, &f.test, f.group);
+    assert!(bias > 0.0, "fixture must show a violation");
+    let selections: Vec<Vec<u32>> = f.preds.iter().map(|p| p.select(&f.train)).collect();
+    let items: Vec<EvalItem<'_>> = f
+        .preds
         .iter()
         .zip(&selections)
         .map(|(p, s)| EvalItem { predicate: p, rows: s })
         .collect();
-    let est = AttributionEstimator::new(removal, metric, &test, group, bias, Some(n_jobs));
+    let removal = DareRemoval::new(&f.forest, &f.train);
+    let est = AttributionEstimator::new(&removal, METRIC, &f.test, f.group, bias, Some(n_jobs));
     est.evaluate(&items)
 }
 
-fn trained_forest() -> DareForest {
-    let (data, _) = planted_toy().generate_scaled(0.5, 93).unwrap();
-    let (train, _) = train_test_split(&data, 0.3, 93).unwrap();
-    DareForest::fit(&train, DareConfig::small(93))
-}
-
-/// The pooled delete→measure→rollback path must produce byte-identical ρ
-/// vectors to the clone-per-eval baseline, serial and parallel alike.
+/// `DareRemoval`'s ρ vector, serial and parallel, must equal bit for bit
+/// the ρ of a clone of the deployed forest with the subset deleted
+/// through the checked `delete`, scored by a fresh bias pass.
 #[test]
-fn pool_evaluation_matches_clone_path_bit_for_bit() {
-    let (data, _) = planted_toy().generate_scaled(0.5, 93).unwrap();
-    let (train, _) = train_test_split(&data, 0.3, 93).unwrap();
-    let forest = trained_forest();
-
-    let mut vectors = Vec::new();
-    for n_jobs in [1usize, 4] {
-        vectors.push(rho_vector(DareRemoval::new(&forest, &train), n_jobs));
-        vectors.push(rho_vector(DareCloneRemoval::new(&forest, &train), n_jobs));
-    }
-    let reference = &vectors[0];
+fn dare_removal_rho_matches_a_clone_delete_bias_replay() {
+    let f = fixture();
+    let bias = METRIC.bias(&f.forest, &f.test, f.group);
+    let reference: Vec<f64> = f
+        .preds
+        .iter()
+        .map(|p| {
+            let mut model = f.forest.clone();
+            model.delete(&p.select(&f.train), &f.train).unwrap();
+            parity_reduction(bias, METRIC.bias(&model, &f.test, f.group))
+        })
+        .collect();
     assert!(!reference.is_empty());
-    for (i, v) in vectors.iter().enumerate() {
-        assert_eq!(v.len(), reference.len());
-        for (a, b) in v.iter().zip(reference) {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "vector {i} diverged: pool/clone × n_jobs must all agree"
-            );
+    for n_jobs in [1usize, 4] {
+        let got = rho_vector(&f, n_jobs);
+        assert_eq!(got.len(), reference.len());
+        for (i, (a, b)) in got.iter().zip(&reference).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "subset {i} at n_jobs {n_jobs}: {a} vs {b}");
         }
     }
 }
 
-/// The deployed forest is untouched by pooled evaluation, and scratch
-/// state is invisible to callers: repeating the same batch gives the same
-/// answers.
+/// The deployed forest is untouched by evaluation, and repeating the same
+/// batch gives the same answers.
 #[test]
-fn pooled_evaluation_is_repeatable_and_non_destructive() {
-    let (data, _) = planted_toy().generate_scaled(0.5, 93).unwrap();
-    let (train, _) = train_test_split(&data, 0.3, 93).unwrap();
-    let forest = trained_forest();
-    let snapshot = forest.clone();
-    let a = rho_vector(DareRemoval::new(&forest, &train), 4);
-    let b = rho_vector(DareRemoval::new(&forest, &train), 4);
+fn dare_removal_is_repeatable_and_leaves_the_deployed_forest_untouched() {
+    let f = fixture();
+    let snapshot = f.forest.clone();
+    let a = rho_vector(&f, 4);
+    let b = rho_vector(&f, 4);
     assert_eq!(a, b);
-    assert_eq!(forest, snapshot, "deployed model must never change");
+    assert_eq!(f.forest, snapshot, "deployed model must never change");
 }

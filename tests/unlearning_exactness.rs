@@ -155,8 +155,8 @@ fn clone_then_delete_leaves_original_usable() {
     let cfg = DareConfig { n_trees: 8, max_depth: 6, seed: 61, ..DareConfig::default() };
     let forest = DareForest::fit(&train, cfg);
     let preds_before = forest.predict_proba(&test);
-    // Many scoped delete→rollback rounds against the same deployed model
-    // (what FUME's parallel attribution does via the scratch pool).
+    // Many scoped unlearn-evals against the same deployed model (what
+    // FUME's parallel attribution does, one clone per eval).
     let removal = DareRemoval::new(&forest, &train);
     for start in (0..200u32).step_by(40) {
         removal.with_removed(&(start..start + 30).collect::<Vec<_>>(), |_| ());
