@@ -420,7 +420,11 @@ mod tests {
         let memo = MapMemo::default();
         let calls = AtomicUsize::new(0);
         let counting = CountingRemoval { inner: removal, calls: &calls };
-        for (pass, expected_calls) in [("cold", 3usize), ("warm", 3)] {
+        // Calls are cumulative. The deep check re-derives every memo hit
+        // through the removal method, so under it the warm pass pays
+        // each of its three evals once more.
+        let warm_rechecks = if fume_forest::deepcheck::enabled() { 3 } else { 0 };
+        for (pass, expected_calls) in [("cold", 3usize), ("warm", 3 + warm_rechecks)] {
             let est = AttributionEstimator::new(
                 &counting,
                 FairnessMetric::StatisticalParity,
@@ -435,7 +439,7 @@ mod tests {
             assert_eq!(
                 calls.load(Ordering::Relaxed),
                 expected_calls,
-                "{pass}: cold pays every eval, warm pays zero"
+                "{pass}: cold pays every eval, warm pays zero (bar deep-check recomputes)"
             );
         }
     }

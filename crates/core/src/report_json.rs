@@ -48,28 +48,6 @@ fn op_from_tag(tag: &str) -> Option<Op> {
     })
 }
 
-/// The wire tag of a fairness metric (`"statistical_parity"`, …) — also
-/// what `fume-serve` accepts as a request's `metric` member.
-pub fn metric_tag(metric: FairnessMetric) -> &'static str {
-    match metric {
-        FairnessMetric::StatisticalParity => "statistical_parity",
-        FairnessMetric::EqualizedOdds => "equalized_odds",
-        FairnessMetric::PredictiveParity => "predictive_parity",
-        FairnessMetric::EqualOpportunity => "equal_opportunity",
-    }
-}
-
-/// Parses a [`metric_tag`] back; `None` for unknown tags.
-pub fn metric_from_tag(tag: &str) -> Option<FairnessMetric> {
-    Some(match tag {
-        "statistical_parity" => FairnessMetric::StatisticalParity,
-        "equalized_odds" => FairnessMetric::EqualizedOdds,
-        "predictive_parity" => FairnessMetric::PredictiveParity,
-        "equal_opportunity" => FairnessMetric::EqualOpportunity,
-        _ => return None,
-    })
-}
-
 fn write_usize(out: &mut String, v: usize) {
     out.push_str(&v.to_string());
 }
@@ -115,7 +93,7 @@ impl FumeReport {
         json::write_key(&mut out, &mut first, "schema");
         out.push_str(&REPORT_SCHEMA.to_string());
         json::write_key(&mut out, &mut first, "metric");
-        json::write_str(&mut out, metric_tag(self.metric));
+        json::write_str(&mut out, self.metric.tag());
         json::write_key(&mut out, &mut first, "original_bias");
         json::write_f64(&mut out, self.original_bias);
         json::write_key(&mut out, &mut first, "original_fairness");
@@ -216,7 +194,7 @@ impl FumeReport {
             )));
         }
         let metric_str = field_str(&root, "metric")?;
-        let metric = metric_from_tag(metric_str)
+        let metric = FairnessMetric::from_tag(metric_str)
             .ok_or_else(|| FumeError::Codec(format!("unknown metric tag {metric_str:?}")))?;
         let top_k = field_arr(&root, "top_k")?
             .iter()

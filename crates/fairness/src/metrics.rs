@@ -51,6 +51,30 @@ impl FairnessMetric {
         FairnessMetric::EqualOpportunity,
     ];
 
+    /// The wire tag (`"statistical_parity"`, …) used in report JSON and
+    /// accepted as a serve request's `metric` member.
+    pub fn tag(self) -> &'static str {
+        match self {
+            Self::StatisticalParity => "statistical_parity",
+            Self::EqualizedOdds => "equalized_odds",
+            Self::PredictiveParity => "predictive_parity",
+            Self::EqualOpportunity => "equal_opportunity",
+        }
+    }
+
+    /// Parses a metric tag: the long [`tag`](Self::tag) or the short
+    /// `sp`/`eo`/`pp` of the paper's three metrics. `None` for anything
+    /// else.
+    pub fn from_tag(tag: &str) -> Option<Self> {
+        Some(match tag {
+            "sp" | "statistical_parity" => Self::StatisticalParity,
+            "eo" | "equalized_odds" => Self::EqualizedOdds,
+            "pp" | "predictive_parity" => Self::PredictiveParity,
+            "equal_opportunity" => Self::EqualOpportunity,
+            _ => return None,
+        })
+    }
+
     /// Human-readable name.
     pub fn name(self) -> &'static str {
         match self {
@@ -241,6 +265,21 @@ mod tests {
         );
         // 6 of 8 predictions match the labels.
         assert!((r.accuracy - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn tags_roundtrip_and_accept_shorthand() {
+        for metric in FairnessMetric::EXTENDED {
+            assert_eq!(FairnessMetric::from_tag(metric.tag()), Some(metric));
+        }
+        for (tag, metric) in [
+            ("sp", FairnessMetric::StatisticalParity),
+            ("eo", FairnessMetric::EqualizedOdds),
+            ("pp", FairnessMetric::PredictiveParity),
+        ] {
+            assert_eq!(FairnessMetric::from_tag(tag), Some(metric), "tag {tag}");
+        }
+        assert_eq!(FairnessMetric::from_tag("nope"), None);
     }
 
     #[test]

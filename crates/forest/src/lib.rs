@@ -50,5 +50,5 @@ pub use delete::DeleteReport;
 pub use forest::{DareForest, ForestError};
 pub use gbdt::{Gbdt, GbdtConfig};
 pub use insert::InsertReport;
-pub use plan::{PredictPlan, BLOCK_ROWS, PLAN_FULL_PASS_MIN_ROWS};
+pub use plan::{PredictPlan, BLOCK_ROWS};
 pub use tree::DareTree;

@@ -62,14 +62,21 @@ impl From<std::io::Error> for PersistError {
     }
 }
 
-/// Little-endian write cursor: the `bytes::BufMut` subset this format
-/// uses, implemented directly on `Vec<u8>` so the crate stays
-/// dependency-free.
-trait BufMut {
+/// Little-endian write cursor: the `bytes::BufMut` subset the workspace's
+/// binary formats use (this one and `fume-core`'s search checkpoints),
+/// implemented directly on `Vec<u8>` so the crate stays dependency-free.
+pub trait BufMut {
+    /// Appends one byte.
     fn put_u8(&mut self, v: u8);
+    /// Appends a little-endian `u16`.
     fn put_u16_le(&mut self, v: u16);
+    /// Appends a little-endian `u32`.
     fn put_u32_le(&mut self, v: u32);
+    /// Appends a little-endian `u64`.
     fn put_u64_le(&mut self, v: u64);
+    /// Appends an `f64` as its little-endian bit pattern.
+    fn put_f64_le(&mut self, v: f64);
+    /// Appends raw bytes.
     fn put_slice(&mut self, v: &[u8]);
 }
 
@@ -91,23 +98,39 @@ impl BufMut for Vec<u8> {
         self.extend_from_slice(&v.to_le_bytes());
     }
     #[inline]
+    fn put_f64_le(&mut self, v: f64) {
+        self.put_u64_le(v.to_bits());
+    }
+    #[inline]
     fn put_slice(&mut self, v: &[u8]) {
         self.extend_from_slice(v);
     }
 }
 
 /// Read cursor over a byte slice, advancing the slice in place. Getters
-/// assume length was already checked via [`need`] — exactly the
-/// discipline the decoder follows (`bytes` would panic identically).
-trait Buf {
+/// assume length was already checked by the format's own `need` guard
+/// (`bytes` would panic identically); each format keeps its own guard
+/// because its error type differs.
+pub trait Buf {
+    /// Bytes left to read.
     fn remaining(&self) -> usize;
+    /// Whether any bytes are left.
     fn has_remaining(&self) -> bool {
         self.remaining() > 0
     }
+    /// Reads one byte.
     fn get_u8(&mut self) -> u8;
+    /// Reads a little-endian `u16`.
     fn get_u16_le(&mut self) -> u16;
+    /// Reads a little-endian `u32`.
     fn get_u32_le(&mut self) -> u32;
+    /// Reads a little-endian `u64`.
     fn get_u64_le(&mut self) -> u64;
+    /// Reads an `f64` from its little-endian bit pattern.
+    fn get_f64_le(&mut self) -> f64 {
+        f64::from_bits(self.get_u64_le())
+    }
+    /// Fills `dst` from the front of the cursor.
     fn copy_to_slice(&mut self, dst: &mut [u8]);
 }
 

@@ -68,13 +68,6 @@ pub const BLOCK_ROWS: usize = 256;
 /// latency, few enough that the lane state stays in registers.
 const LANES: usize = 8;
 
-/// Full passes over at least this many rows route through a compiled
-/// [`PredictPlan`] in [`DareForest::predict_proba`]; smaller passes walk
-/// the pointer structure directly, where a compile would cost more than
-/// it saves. Purely a performance threshold — both paths are bitwise
-/// identical.
-pub const PLAN_FULL_PASS_MIN_ROWS: usize = 512;
-
 /// An arena index as `u32` — the plan-side sibling of
 /// [`fume_tabular::cast::row_u32`]: arena sizes are bounded by node
 /// counts, which the builder bounds by instance counts, which dataset

@@ -148,6 +148,27 @@ pub fn record_hist(name: &'static str, value: u64) {
     }
 }
 
+/// The FNV-1a offset basis: the hash of no bytes, and the start state
+/// for [`fnv1a`].
+pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a: folds `bytes` into the running hash `h` (start from
+/// [`FNV1A_OFFSET`]). The workspace's one stable hash — lock-order site
+/// keys, checkpoint fingerprints, serve cache scopes and trace
+/// `config_hash`es all go through it, so their values never drift apart.
+/// Const, so site keys hash at compile time.
+#[inline]
+#[must_use]
+pub const fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    let mut i = 0;
+    while i < bytes.len() {
+        h ^= bytes[i] as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        i += 1;
+    }
+    h
+}
+
 /// Opens a timing span for the enclosing scope. Bind the result:
 ///
 /// ```

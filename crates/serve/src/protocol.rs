@@ -30,7 +30,6 @@
 //! {"schema":1,"id":"r1","ok":true,"timing_ns":12345,"report":{"schema":1,...}}
 //! ```
 
-use fume_core::report_json::metric_from_tag;
 use fume_core::FumeReport;
 use fume_fairness::FairnessMetric;
 use fume_obs::json::{self, Json};
@@ -90,15 +89,6 @@ fn bad(id: Option<String>, message: impl Into<String>) -> RequestError {
     RequestError { id, message: message.into() }
 }
 
-fn parse_metric(tag: &str) -> Option<FairnessMetric> {
-    match tag {
-        "sp" => Some(FairnessMetric::StatisticalParity),
-        "eo" => Some(FairnessMetric::EqualizedOdds),
-        "pp" => Some(FairnessMetric::PredictiveParity),
-        other => metric_from_tag(other),
-    }
-}
-
 fn parse_usize(obj: &Json, key: &str, id: &str) -> Result<Option<usize>, RequestError> {
     match obj.get(key) {
         None | Some(Json::Null) => Ok(None),
@@ -138,7 +128,7 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
                 let Some(tag) = tag.as_str() else {
                     return Err(bad(Some(id), "field `metric` must be a string"));
                 };
-                let Some(metric) = parse_metric(tag) else {
+                let Some(metric) = FairnessMetric::from_tag(tag) else {
                     return Err(bad(Some(id), format!("unknown metric `{tag}`")));
                 };
                 overrides.metric = Some(metric);
@@ -275,20 +265,6 @@ mod tests {
         assert_eq!(overrides.support, Some((0.02, 0.3)));
         assert_eq!(overrides.max_literals, Some(3));
         assert_eq!(overrides.top_k, Some(7));
-    }
-
-    #[test]
-    fn metric_accepts_shorthand_and_schema_tags() {
-        for (tag, metric) in [
-            ("sp", FairnessMetric::StatisticalParity),
-            ("eo", FairnessMetric::EqualizedOdds),
-            ("pp", FairnessMetric::PredictiveParity),
-            ("statistical_parity", FairnessMetric::StatisticalParity),
-            ("equal_opportunity", FairnessMetric::EqualOpportunity),
-        ] {
-            assert_eq!(parse_metric(tag), Some(metric), "tag {tag}");
-        }
-        assert_eq!(parse_metric("nope"), None);
     }
 
     #[test]

@@ -96,6 +96,8 @@ echo "==> unlearn-eval exactness under FUME_DEEPCHECK=1"
 # independent clone -> delete -> bias replay.
 FUME_DEEPCHECK=1 cargo test -q --offline -p fume-forest --test deepcheck
 FUME_DEEPCHECK=1 cargo test -q --offline --test unlearn_eval_engine
+# fume-core's unit tests, with every memo hit re-derived and compared.
+FUME_DEEPCHECK=1 cargo test -q --offline -p fume-core --lib
 
 echo "==> lock-order deadlock detector: inversion fires, clean batteries stay silent"
 # The fume-obs sync suite includes a deliberate AB/BA inversion that must
@@ -149,21 +151,21 @@ for site in post-eval post-level mid-checkpoint-write:3; do
     echo "    $site: killed, resumed, reports identical"
 done
 
-echo "==> fume-serve smoke: persistent engine vs one-shot CLI"
+echo "==> fume-cli serve smoke: persistent engine vs one-shot CLI"
 # The same dataset/model flags must yield byte-identical canonical
 # reports whether answered by the persistent engine or a fresh CLI run —
 # and the repeated request must be served from the cross-request cache.
 # The engine does not coalesce identical in-flight requests, so each
 # request is written only after the previous reply line has arrived.
 rcli="target/release/fume-cli"
-serve="target/release/fume-serve"
+serve="target/release/fume-cli serve"
 "$rcli" explain $common --json > "$smoke_dir/cli_report.json" 2>/dev/null
 session="$smoke_dir/serve_session.txt"
 serve_in="$smoke_dir/serve_in.fifo"
 rm -f "$serve_in"
 mkfifo "$serve_in"
 : > "$session"
-"$serve" $common --workers 2 < "$serve_in" > "$session" 2>/dev/null &
+$serve $common --workers 2 < "$serve_in" > "$session" 2>/dev/null &
 serve_pid=$!
 exec 3> "$serve_in"
 replies=0
@@ -175,7 +177,7 @@ for request in '{"op":"explain","id":"r1"}' \
     waited=0
     while [ "$(wc -l < "$session")" -lt "$replies" ]; do
         if [ "$waited" -ge 1200 ] || ! kill -0 "$serve_pid" 2>/dev/null; then
-            echo "fume-serve gave no reply to request $replies" >&2
+            echo "fume-cli serve gave no reply to request $replies" >&2
             kill "$serve_pid" 2>/dev/null || true
             exit 1
         fi
@@ -188,14 +190,14 @@ wait "$serve_pid"
 rm -f "$serve_in"
 lines=$(wc -l < "$session")
 if [ "$lines" -ne 3 ]; then
-    echo "fume-serve session answered $lines/3 requests" >&2
+    echo "fume-cli serve session answered $lines/3 requests" >&2
     cat "$session" >&2
     exit 1
 fi
 cli_report=$(cat "$smoke_dir/cli_report.json")
 matches=$(grep -cF "\"report\":${cli_report}}" "$session" || true)
 if [ "$matches" -ne 2 ]; then
-    echo "fume-serve reports do not match fume-cli --json ($matches/2 lines)" >&2
+    echo "fume-cli serve reports do not match fume-cli explain --json ($matches/2 lines)" >&2
     exit 1
 fi
 hits=$(sed -n 's/.*"cache_hits":\([0-9][0-9]*\).*/\1/p' "$session")
@@ -206,8 +208,8 @@ if [ -z "$hits" ] || [ "$hits" -eq 0 ]; then
 fi
 echo "    2 explains byte-identical to the CLI; repeat served from cache (hits=$hits)"
 
-echo "==> fume-serve smoke under FUME_DEEPCHECK=1: zero lock-order cycles"
-# The release binary with the runtime detector armed: fume-serve exits
+echo "==> fume-cli serve smoke under FUME_DEEPCHECK=1: zero lock-order cycles"
+# The release binary with the runtime detector armed: `fume-cli serve` exits
 # nonzero at drain if any lock-order cycle was recorded, so a clean exit
 # with all requests answered proves the session's lock order consistent.
 deep_session="$smoke_dir/serve_session_deepcheck.txt"
@@ -215,16 +217,16 @@ printf '%s\n' \
     '{"op":"explain","id":"d1"}' \
     '{"op":"explain","id":"d2"}' \
     '{"op":"stats","id":"d3"}' \
-    | FUME_DEEPCHECK=1 "$serve" $common --workers 2 > "$deep_session" 2>/dev/null
+    | FUME_DEEPCHECK=1 $serve $common --workers 2 > "$deep_session" 2>/dev/null
 deep_lines=$(wc -l < "$deep_session")
 if [ "$deep_lines" -ne 3 ]; then
-    echo "deepcheck fume-serve session answered $deep_lines/3 requests" >&2
+    echo "deepcheck fume-cli serve session answered $deep_lines/3 requests" >&2
     cat "$deep_session" >&2
     exit 1
 fi
 deep_matches=$(grep -cF "\"report\":${cli_report}}" "$deep_session" || true)
 if [ "$deep_matches" -ne 2 ]; then
-    echo "deepcheck fume-serve reports not byte-identical to fume-cli --json ($deep_matches/2)" >&2
+    echo "deepcheck fume-cli serve reports not byte-identical to fume-cli explain --json ($deep_matches/2)" >&2
     exit 1
 fi
 echo "    tracked session drained clean; reports byte-identical to the CLI"
